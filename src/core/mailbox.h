@@ -55,11 +55,8 @@ class Mailbox {
   void Deliver(graph::NodeId node, std::span<const float> mail,
                double timestamp);
 
-  /// \brief Delivers a batch of mails, grouping deliveries per node so the
-  /// ring bookkeeping (head/count/base offset) is computed once per
-  /// recipient instead of once per mail. Equivalent to calling Deliver()
-  /// per entry: mails addressed to the same node land in their span order
-  /// (grouping is stable), and inter-node order never affects state.
+  /// \brief Delivers a batch of mails: Deliver() per entry, in span order
+  /// (inter-node order never affects state). Allocation-free.
   /// \return number of mails stored.
   int64_t DeliverBatch(std::span<const MailDelivery> deliveries);
 

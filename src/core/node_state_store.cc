@@ -103,17 +103,21 @@ Mailbox::ReadResult NodeStateStore::ReadBatch(
   return mailbox_.ReadBatch(rows);
 }
 
+void NodeStateStore::DeliverMail(graph::NodeId node,
+                                 std::span<const float> mail,
+                                 double timestamp) {
+  mailbox_.Deliver(LocalRow(node), mail, timestamp);
+}
+
 int64_t NodeStateStore::DeliverBatch(std::vector<MailDelivery>&& deliveries) {
-  if (!dense_all_) {
-    for (MailDelivery& d : deliveries) d.recipient = LocalRow(d.recipient);
-  }
-  return mailbox_.DeliverBatch(deliveries);
+  return DeliverBatch(std::span<const MailDelivery>(deliveries));
 }
 
 int64_t NodeStateStore::DeliverBatch(std::span<const MailDelivery> deliveries) {
-  if (dense_all_) return mailbox_.DeliverBatch(deliveries);
-  std::vector<MailDelivery> translated(deliveries.begin(), deliveries.end());
-  return DeliverBatch(std::move(translated));
+  for (const MailDelivery& d : deliveries) {
+    DeliverMail(d.recipient, d.mail, d.timestamp);
+  }
+  return static_cast<int64_t>(deliveries.size());
 }
 
 int64_t NodeStateStore::ValidCount(graph::NodeId node) const {

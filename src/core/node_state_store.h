@@ -92,10 +92,13 @@ class NodeStateStore {
   /// Batched, time-sorted mailbox read-out for the encoder (global ids).
   Mailbox::ReadResult ReadBatch(const std::vector<graph::NodeId>& nodes) const;
 
-  /// \brief Delivers a batch of mails whose recipients this store owns.
-  /// The move overload rewrites recipients to local rows in place (the
-  /// serve-time hot path); the span overload copies when translation is
-  /// needed. \return number of mails stored.
+  /// \brief Stores one mail for `node` (which this store must own),
+  /// evicting its oldest mail when the ring is full. Allocation-free.
+  void DeliverMail(graph::NodeId node, std::span<const float> mail,
+                   double timestamp);
+
+  /// \brief DeliverMail per entry, in order. \return number of mails
+  /// stored.
   int64_t DeliverBatch(std::vector<MailDelivery>&& deliveries);
   int64_t DeliverBatch(std::span<const MailDelivery> deliveries);
 

@@ -26,6 +26,7 @@
 #include <vector>
 
 #include "core/config.h"
+#include "core/mail_rows.h"
 #include "core/mailbox.h"
 #include "graph/edge_features.h"
 #include "graph/sampling.h"
@@ -73,6 +74,17 @@ struct PartialPropagation {
   std::vector<PartialReduce> partial;
 };
 
+/// \brief A shard job's records in flat form: record i is events[i] at
+/// global batch position event_index[i], with z_src and z_dst stored as
+/// rows 2i and 2i + 1 of `z` (embedding_dim floats each).
+struct RecordRows {
+  std::vector<graph::Event> events;
+  std::vector<int64_t> event_index;
+  std::vector<float> z;
+
+  size_t size() const { return events.size(); }
+};
+
 /// \brief Stateless propagation logic; mailbox state lives in Mailbox.
 class MailPropagator {
  public:
@@ -118,9 +130,29 @@ class MailPropagator {
       std::span<const int64_t> event_index,
       std::span<const std::vector<graph::HopEntry>> hops) const;
 
+  /// \brief The flat, allocation-free form of ComputePartialFromHops:
+  /// row r of `hops` is records[r]'s expansion. One MakeMail/ρ
+  /// implementation serves both forms, so equal inputs give bitwise-equal
+  /// sums. Replaces `hop0` (one row per event endpoint in event order,
+  /// tag = sequence) and `partial` (one unfinalized sum per distinct
+  /// hop-1..k recipient in first-contribution order — a receiver orders
+  /// them by recipient when it merges — time = newest contribution,
+  /// count = contributions). `scratch` is the ρ accumulator's recipient
+  /// index, owned by the calling thread and reused across batches so a
+  /// warmed-up caller allocates nothing. Thread-safe with one scratch per
+  /// thread.
+  void ComputePartialRows(const RecordRows& records,
+                          const graph::HopRows& hops, NodeRowIndex* scratch,
+                          MailRows* hop0, MailRows* partial) const;
+
   /// ρ for one recipient: divides the merged sum by the contribution
   /// count. `partial.count` must be positive.
   static MailDelivery FinalizeReduce(PartialPropagation::PartialReduce&& partial);
+
+  /// ρ in place on one merged sum (what FinalizeReduce does to its
+  /// payload): afterwards a partial row is the reduced delivery (time =
+  /// newest, count = contributions). `count` must be positive.
+  static void FinalizeSum(std::span<float> sum, int64_t count);
 
   /// \brief Full propagation: ComputeDeliveries then ψ (mailbox append).
   /// \return number of deliveries made.
@@ -131,6 +163,12 @@ class MailPropagator {
   std::vector<float> MakeMail(const InteractionRecord& record) const;
 
  private:
+  /// φ + f + unfinalized ρ, shared by both record forms (propagator.cc
+  /// instantiates it for the per-struct and the flat records).
+  template <typename Records>
+  void Reduce(const Records& records, NodeRowIndex* scratch, MailRows* hop0,
+              MailRows* partial) const;
+
   ApanConfig config_;
   const graph::TemporalGraph* graph_;
   const graph::EdgeFeatureStore* features_;

@@ -12,6 +12,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "graph/csr_rows.h"
 #include "graph/temporal_graph.h"
 
 namespace apan {
@@ -24,6 +25,10 @@ struct HopEntry {
   double timestamp = 0.0;   ///< Timestamp of that edge.
   int32_t hop = 0;          ///< 1 = direct neighbor of a seed, etc.
 };
+
+/// Per-record k-hop expansions in one block: row r is record r's entries
+/// in hop order (what KHopMostRecent returns for it).
+using HopRows = CsrRows<HopEntry>;
 
 /// \brief Expands the most-recent-sampled neighborhood of `seeds`.
 ///

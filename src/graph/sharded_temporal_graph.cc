@@ -201,17 +201,21 @@ std::vector<TemporalNeighbor> ShardedTemporalGraph::NeighborsBeforeAsOf(
 std::vector<TemporalNeighbor> ShardedTemporalGraph::MostRecentNeighborsAsOf(
     NodeId node, double before_time, int64_t k,
     int64_t ordinal_limit) const {
-  if (!ValidNode(node) || k <= 0) return {};
+  std::vector<TemporalNeighbor> out;
+  AppendMostRecentNeighborsAsOf(node, before_time, k, ordinal_limit, &out);
+  return out;
+}
+
+void ShardedTemporalGraph::AppendMostRecentNeighborsAsOf(
+    NodeId node, double before_time, int64_t k, int64_t ordinal_limit,
+    std::vector<TemporalNeighbor>* out) const {
+  if (!ValidNode(node) || k <= 0) return;
   const auto& row = RowOf(node);
   const size_t end = VisibleEnd(row, before_time, ordinal_limit);
-  const size_t take =
-      std::min(static_cast<size_t>(k), end);
-  std::vector<TemporalNeighbor> out;
-  out.reserve(take);
+  const size_t take = std::min(static_cast<size_t>(k), end);
   for (size_t i = end - take; i < end; ++i) {
-    out.push_back({row[i].node, row[i].edge_id, row[i].timestamp});
+    out->push_back({row[i].node, row[i].edge_id, row[i].timestamp});
   }
-  return out;
 }
 
 int64_t ShardedTemporalGraph::Degree(NodeId node) const {

@@ -161,6 +161,13 @@ class ShardedTemporalGraph {
       NodeId node, double before_time, int64_t k,
       int64_t ordinal_limit) const;
 
+  /// \brief MostRecentNeighborsAsOf appended to `out` instead of returned
+  /// — the allocation-free read a shard worker samples into its reused
+  /// buffers.
+  void AppendMostRecentNeighborsAsOf(
+      NodeId node, double before_time, int64_t k, int64_t ordinal_limit,
+      std::vector<TemporalNeighbor>* out) const;
+
   /// Stored occurrences of `node` (quiescent inspector).
   int64_t Degree(NodeId node) const;
 

@@ -3,7 +3,7 @@
 // Everything that crosses a shard boundary — routed mail partials, z(t−)
 // write-backs, and the frontier request/response protocol for cross-slice
 // k-hop expansion — is one of the ShardMessage alternatives below. The
-// structs are pure data (ids, tags, payload vectors): no pointers into
+// structs are pure data (ids, tags, flat payload blocks): no pointers into
 // engine state, so a message can be handed to an in-process deque or
 // serialized onto a wire (serve/wire.h) without the receiver sharing the
 // sender's address space.
@@ -22,29 +22,31 @@
 #include <variant>
 #include <vector>
 
-#include "core/propagator.h"
+#include "core/mail_rows.h"
+#include "graph/csr_rows.h"
 #include "graph/temporal_graph.h"
 
 namespace apan {
 namespace serve {
 
-/// One routed z(t−) write-back; sequence = 2 * event index + endpoint.
-struct StateUpdate {
-  int64_t sequence = 0;
-  graph::NodeId node = -1;
-  std::vector<float> z;
-};
-
 /// One shard's slice of one batch's propagation output, addressed to one
 /// recipient shard. Sent for every (sender, recipient, batch) triple —
 /// empty slices included — so the recipient can detect batch completion
 /// by counting senders; (batch, from_shard) is the duplicate-drop tag.
+/// All of it is one flat block, so a partial costs a few allocations
+/// however many mails it carries.
 struct ShardPartial {
   int64_t batch = 0;
   int from_shard = 0;
-  std::vector<StateUpdate> state_updates;
-  std::vector<core::PartialPropagation::TaggedDelivery> hop0;
-  std::vector<core::PartialPropagation::PartialReduce> partial;
+  /// Three sections: rows [0, num_state_updates) are z(t−) write-backs
+  /// (payload = the embedding, tag = 2 * event index + endpoint, time =
+  /// event time); the next num_hop0 rows are hop-0 mail in the sender's
+  /// event order (tag = sequence tag); the rest are unfinalized ρ sums,
+  /// one per recipient (time = newest contribution, count =
+  /// contributions).
+  core::MailRows rows;
+  int64_t num_state_updates = 0;
+  int64_t num_hop0 = 0;
 };
 
 /// One foreign frontier node to sample, tagged with its slot in the
@@ -71,16 +73,16 @@ struct FrontierRequest {
   std::vector<FrontierItem> items;
 };
 
-/// The owner's reply: per requested slot, the sampled neighbors.
-/// `from_shard` is the answering owner — the requester awaits exactly one
-/// response per asked owner and drops re-deliveries by (batch, hop,
-/// from_shard).
+/// The owner's reply: per requested slot, the sampled neighbors, as one
+/// CSR block (row i of `neighbors` answers slots[i]). `from_shard` is the
+/// answering owner — the requester awaits exactly one response per asked
+/// owner and drops re-deliveries by (batch, hop, from_shard).
 struct FrontierResponse {
   int64_t batch = 0;
   int32_t hop = 0;
   int from_shard = 0;
   std::vector<int64_t> slots;
-  std::vector<std::vector<graph::TemporalNeighbor>> neighbors;
+  graph::NeighborRows neighbors;
 };
 
 /// Shard-to-shard message on the unbounded mail lane. A variant (not a

@@ -5,6 +5,8 @@
 #include <memory>
 #include <optional>
 #include <set>
+#include <span>
+#include <tuple>
 #include <unordered_map>
 #include <utility>
 
@@ -14,10 +16,7 @@
 namespace apan {
 namespace serve {
 
-using core::InteractionRecord;
-using core::MailDelivery;
 using core::MailPropagator;
-using core::PartialPropagation;
 
 ShardedEngine::ShardedEngine(core::ApanModel* model, Options options)
     : model_(model),
@@ -150,7 +149,9 @@ Result<ShardedEngine::InferenceResult> ShardedEngine::InferBatch(
   Stopwatch watch;
   const int num_shards = options_.num_shards;
   const int64_t d = model_->config().embedding_dim;
-  std::vector<InteractionRecord> records;
+  // Per home shard: its records in one flat block (events, batch
+  // positions, z rows), handed to the shard's job below.
+  std::vector<core::RecordRows> home_blocks(static_cast<size_t>(num_shards));
   {
     // ---- Synchronous link: shard-parallel encoding over local state. ----
     APAN_TRACE_SPAN("sync");
@@ -250,17 +251,30 @@ Result<ShardedEngine::InferenceResult> ShardedEngine::InferBatch(
     tensor::Tensor probs = tensor::Sigmoid(logits);
     result.scores.assign(probs.data(), probs.data() + probs.numel());
 
-    // Package the asynchronous work while we still hold the embeddings.
-    records.reserve(events.size());
+    // Package the asynchronous work while we still hold the embeddings:
+    // every record is homed on its source endpoint's shard, and each
+    // shard's block is sized once.
+    std::vector<size_t> homed_count(static_cast<size_t>(num_shards), 0);
+    for (const graph::Event& e : events) {
+      ++homed_count[static_cast<size_t>(router_.HomeShardOf(e))];
+    }
+    for (int s = 0; s < num_shards; ++s) {
+      const size_t n = homed_count[static_cast<size_t>(s)];
+      core::RecordRows& block = home_blocks[static_cast<size_t>(s)];
+      block.events.reserve(n);
+      block.event_index.reserve(n);
+      block.z.reserve(2 * n * static_cast<size_t>(d));
+    }
     const float* flat = embeddings.data();
     for (size_t i = 0; i < events.size(); ++i) {
-      InteractionRecord rec;
-      rec.event = events[i];
+      core::RecordRows& block =
+          home_blocks[static_cast<size_t>(router_.HomeShardOf(events[i]))];
+      block.events.push_back(events[i]);
+      block.event_index.push_back(static_cast<int64_t>(i));
       const float* zs = flat + src_rows[i] * d;
       const float* zd = flat + dst_rows[i] * d;
-      rec.z_src.assign(zs, zs + d);
-      rec.z_dst.assign(zd, zd + d);
-      records.push_back(std::move(rec));
+      block.z.insert(block.z.end(), zs, zs + d);
+      block.z.insert(block.z.end(), zd, zd + d);
     }
   }
   result.sync_millis = watch.ElapsedMillis();
@@ -314,16 +328,11 @@ Result<ShardedEngine::InferenceResult> ShardedEngine::InferBatch(
     up_count += down[static_cast<size_t>(s)] == 0 ? 1 : 0;
   }
 
-  // Home every record on its source endpoint's shard.
   std::vector<BatchJob> jobs(static_cast<size_t>(num_shards));
   for (int s = 0; s < num_shards; ++s) {
     jobs[static_cast<size_t>(s)].ctx = ctx;
-  }
-  for (size_t i = 0; i < records.size(); ++i) {
-    const int home = router_.HomeShardOf(records[i].event);
-    auto& job = jobs[static_cast<size_t>(home)];
-    job.records.push_back(std::move(records[i]));
-    job.event_index.push_back(static_cast<int64_t>(i));
+    jobs[static_cast<size_t>(s)].records =
+        std::move(home_blocks[static_cast<size_t>(s)]);
   }
   for (int s = 0; s < num_shards; ++s) {
     const auto homed = jobs[static_cast<size_t>(s)].records.size();
@@ -516,43 +525,33 @@ void ShardedEngine::ProcessJob(int shard_id, BatchJob job) {
 
   // φ + N over this shard's home events; hops whose frontier nodes are
   // owned elsewhere are forwarded to their owner shards. Propagation is
-  // plain float-vector math today; the scope makes any tensor op a
-  // future propagator grows draw from this worker's pool. Arena tensors
-  // are thread-confined: anything that enters a ShardPartial (read by
-  // OTHER shards' workers) must be copied into plain vectors, never
-  // handed over as a pooled tensor.
+  // plain float math over the worker's reused buffers; the scope makes
+  // any tensor op a future propagator grows draw from this worker's pool.
+  // Arena tensors are thread-confined: anything that enters a
+  // ShardPartial (read by OTHER shards' workers) must be copied into
+  // plain buffers, never handed over as a pooled tensor.
+  Shard& shard = *shards_[static_cast<size_t>(shard_id)];
   std::optional<tensor::ArenaScope> arena_scope;
   arena_scope.emplace();
-  std::vector<std::vector<graph::HopEntry>> hops = ExpandKHop(shard_id, job);
-  PartialPropagation propagation;
+  ExpandKHop(shard_id, job);
   {
     APAN_TRACE_SPAN("propagate");
     Stopwatch propagate_watch;
-    propagation = model_->propagator().ComputePartialFromHops(
-        job.records, job.event_index, hops);
+    model_->propagator().ComputePartialRows(
+        job.records, shard.expand.hops, &shard.propagate.rho,
+        &shard.propagate.hop0, &shard.propagate.partial);
     if (stage_metrics_) {
       ins_.stage_propagate->Record(shard_id,
                                    propagate_watch.ElapsedMillis());
     }
   }
-  RouteMail(shard_id, job, std::move(propagation));
+  RouteMail(shard_id, job);
 
-  // Batch teardown is real per-batch work — freeing the nested hop
-  // vectors, the arena's recycle pass, and (for the last shard holding
-  // the context) the batch's event storage. It scales with batch size,
-  // so it gets its own stage instead of hiding in the attribution
-  // residue of the fig10 breakdown.
   APAN_TRACE_SPAN("finalize");
   Stopwatch finalize_watch;
-  hops.clear();
-  hops.shrink_to_fit();
   arena_scope.reset();
-  job.records.clear();
-  job.records.shrink_to_fit();
-  job.event_index.clear();
-  job.event_index.shrink_to_fit();
+  job.records = core::RecordRows();
   job.ctx.reset();
-  Shard& shard = *shards_[static_cast<size_t>(shard_id)];
   {
     util::MutexLock lock(shard.mu);
     --shard.jobs_in_flight;
@@ -569,65 +568,75 @@ void ShardedEngine::ProcessJob(int shard_id, BatchJob job) {
   }
 }
 
-std::vector<std::vector<graph::HopEntry>> ShardedEngine::ExpandKHop(
-    int shard_id, const BatchJob& job) {
+void ShardedEngine::ExpandKHop(int shard_id, const BatchJob& job) {
   APAN_TRACE_SPAN("expand");
   Stopwatch expand_watch;
-  std::vector<std::vector<graph::HopEntry>> hops(job.records.size());
+  ExpandScratch& x = shards_[static_cast<size_t>(shard_id)]->expand;
+  x.hops.Clear();
   const int32_t num_hops = model_->config().propagation_hops;
   const int64_t fanout = model_->config().sampled_neighbors;
-  if (num_hops <= 0 || job.records.empty()) return hops;
+  const size_t num_records = job.records.size();
+  if (num_hops <= 0 || num_records == 0) return;
   double wait_ms = 0.0;  // inside WaitForFrontierResponses, excluded below
   const int num_shards = options_.num_shards;
   const int64_t ordinal_limit = job.ctx->base_ordinal;
+  const std::vector<graph::Event>& events = job.records.events;
 
-  // frontier[i] = record i's nodes to expand this hop (seeds at hop 1).
-  std::vector<std::vector<graph::NodeId>> frontier(job.records.size());
-  for (size_t i = 0; i < job.records.size(); ++i) {
-    frontier[i] = {job.records[i].event.src, job.records[i].event.dst};
+  // The hop-1 frontier is every record's seeds {src, dst}. A hop's
+  // frontier is its slots in record-major order; the slot id is the
+  // sequence tag that fixes the reassembled expansion order to exactly
+  // the monolithic per-record KHopExpand sequence.
+  x.slots.clear();
+  for (size_t i = 0; i < num_records; ++i) {
+    x.slots.push_back({static_cast<uint32_t>(i), events[i].src});
+    x.slots.push_back({static_cast<uint32_t>(i), events[i].dst});
   }
+  x.staged.clear();
+  x.staged_record.clear();
+  x.requests.resize(static_cast<size_t>(num_shards));
   int64_t requests_sent = 0;
   int64_t nodes_forwarded = 0;
-  for (int32_t hop = 1; hop <= num_hops; ++hop) {
-    // Flatten the frontiers into slots in record-major order; the slot id
-    // is the sequence tag that fixes the reassembled expansion order to
-    // exactly the monolithic per-record KHopExpand sequence.
-    struct Slot {
-      size_t record;
-      graph::NodeId node;
-    };
-    std::vector<Slot> slots;
-    for (size_t i = 0; i < frontier.size(); ++i) {
-      for (const graph::NodeId v : frontier[i]) slots.push_back({i, v});
-    }
-    if (slots.empty()) break;
-
-    std::vector<std::vector<graph::TemporalNeighbor>> sampled(slots.size());
-    std::vector<FrontierRequest> outbound(static_cast<size_t>(num_shards));
-    std::vector<size_t> local_slots;
-    for (size_t s = 0; s < slots.size(); ++s) {
-      const int owner = graph_.OwnerOf(slots[s].node);
+  for (int32_t hop = 1; hop <= num_hops && !x.slots.empty(); ++hop) {
+    const size_t num_slots = x.slots.size();
+    x.sample_span.assign(num_slots, {0, 0});
+    x.samples.clear();
+    x.local_slots.clear();
+    x.slot_owner.resize(num_slots);
+    x.awaiting_from.assign(static_cast<size_t>(num_shards), 0);
+    std::vector<size_t>& asked = x.asked;
+    asked.assign(static_cast<size_t>(num_shards), 0);
+    for (size_t s = 0; s < num_slots; ++s) {
+      const int owner = graph_.OwnerOf(x.slots[s].node);
+      x.slot_owner[s] = owner;
       if (owner == shard_id) {
-        local_slots.push_back(s);
-      } else if (shard_down_[static_cast<size_t>(owner)].load(
+        x.local_slots.push_back(s);
+      } else if (!shard_down_[static_cast<size_t>(owner)].load(
                      std::memory_order_relaxed)) {
-        // Degradation: a frontier owned by a down shard samples empty —
-        // never ask a dead peer and wait forever on its answer. The slot
-        // already holds the empty neighbor list it defaults to.
-      } else {
-        const double t = job.records[slots[s].record].event.timestamp;
-        outbound[static_cast<size_t>(owner)].items.push_back(
-            {static_cast<int64_t>(s), slots[s].node, t});
+        ++asked[static_cast<size_t>(owner)];
       }
+      // A frontier owned by a down shard samples empty — never ask a
+      // dead peer and wait forever on its answer; its span stays empty.
+    }
+    for (int target = 0; target < num_shards; ++target) {
+      x.requests[static_cast<size_t>(target)].items.reserve(
+          asked[static_cast<size_t>(target)]);
+    }
+    for (size_t s = 0; s < num_slots; ++s) {
+      const int owner = x.slot_owner[s];
+      if (owner == shard_id || asked[static_cast<size_t>(owner)] == 0) {
+        continue;  // local, or owned by a down shard
+      }
+      const double t = events[x.slots[s].record].timestamp;
+      x.requests[static_cast<size_t>(owner)].items.push_back(
+          {static_cast<int64_t>(s), x.slots[s].node, t});
     }
 
     // Requests go out before any local sampling so foreign owners work on
     // their slots while this shard works on its own — hop latency is
     // max(local, remote), not local + remote.
-    std::vector<char> awaiting_from(static_cast<size_t>(num_shards), 0);
     int awaiting = 0;
     for (int target = 0; target < num_shards; ++target) {
-      FrontierRequest& request = outbound[static_cast<size_t>(target)];
+      FrontierRequest& request = x.requests[static_cast<size_t>(target)];
       if (request.items.empty()) continue;
       nodes_forwarded += static_cast<int64_t>(request.items.size());
       ++requests_sent;
@@ -637,34 +646,55 @@ std::vector<std::vector<graph::HopEntry>> ShardedEngine::ExpandKHop(
       request.ordinal_limit = ordinal_limit;
       request.fanout = fanout;
       BufferMessage(shard_id, target, ShardMessage(std::move(request)));
-      awaiting_from[static_cast<size_t>(target)] = 1;
+      request = FrontierRequest();
+      x.awaiting_from[static_cast<size_t>(target)] = 1;
       ++awaiting;
     }
     // One coalesced frame per peer: this hop's request rides together
     // with any response ServeDeferredRequests buffered after the append.
     // Flushed before local sampling so foreign owners overlap with it.
     FlushOutbound(shard_id);
-    for (const size_t s : local_slots) {
-      const double t = job.records[slots[s].record].event.timestamp;
-      sampled[s] = graph_.MostRecentNeighborsAsOf(slots[s].node, t, fanout,
-                                                  ordinal_limit);
+    for (const size_t s : x.local_slots) {
+      const auto begin = static_cast<int64_t>(x.samples.size());
+      graph_.AppendMostRecentNeighborsAsOf(
+          x.slots[s].node, events[x.slots[s].record].timestamp, fanout,
+          ordinal_limit, &x.samples);
+      x.sample_span[s] = {begin, static_cast<int64_t>(x.samples.size())};
     }
     if (awaiting > 0) {
-      wait_ms += WaitForFrontierResponses(shard_id, job.ctx->batch, hop,
-                                          awaiting_from, sampled);
+      wait_ms += WaitForFrontierResponses(shard_id, job.ctx->batch, hop);
     }
 
     // Reassemble in slot order and build the next frontier.
-    std::vector<std::vector<graph::NodeId>> next(job.records.size());
-    for (size_t s = 0; s < slots.size(); ++s) {
-      auto& record_hops = hops[slots[s].record];
-      auto& record_next = next[slots[s].record];
-      for (const graph::TemporalNeighbor& n : sampled[s]) {
-        record_hops.push_back({n.node, n.edge_id, n.timestamp, hop});
-        record_next.push_back(n.node);
+    x.next_slots.clear();
+    for (size_t s = 0; s < num_slots; ++s) {
+      const uint32_t record = x.slots[s].record;
+      const auto [begin, end] = x.sample_span[s];
+      for (int64_t k = begin; k < end; ++k) {
+        const graph::TemporalNeighbor& n = x.samples[static_cast<size_t>(k)];
+        x.staged.push_back({n.node, n.edge_id, n.timestamp, hop});
+        x.staged_record.push_back(record);
+        x.next_slots.push_back({record, n.node});
       }
     }
-    frontier = std::move(next);
+    std::swap(x.slots, x.next_slots);
+  }
+
+  // Regroup the hop-major entries record-major (a stable counting sort):
+  // each record's row is then its hop-1 entries, then hop 2, ... — the
+  // order ρ sums in.
+  x.hops.offsets.assign(num_records + 1, 0);
+  for (const uint32_t record : x.staged_record) {
+    ++x.hops.offsets[record + 1];
+  }
+  for (size_t r = 0; r < num_records; ++r) {
+    x.hops.offsets[r + 1] += x.hops.offsets[r];
+  }
+  x.cursor.assign(x.hops.offsets.begin(), x.hops.offsets.end() - 1);
+  x.hops.entries.resize(x.staged.size());
+  for (size_t k = 0; k < x.staged.size(); ++k) {
+    x.hops.entries[static_cast<size_t>(x.cursor[x.staged_record[k]]++)] =
+        x.staged[k];
   }
 
   if (requests_sent > 0) {
@@ -678,17 +708,16 @@ std::vector<std::vector<graph::HopEntry>> ShardedEngine::ExpandKHop(
     ins_.stage_sample->Record(
         shard_id, std::max(0.0, expand_watch.ElapsedMillis() - wait_ms));
   }
-  return hops;
 }
 
-double ShardedEngine::WaitForFrontierResponses(
-    int shard_id, int64_t batch, int32_t hop,
-    std::vector<char>& awaiting_from,
-    std::vector<std::vector<graph::TemporalNeighbor>>& sampled) {
+double ShardedEngine::WaitForFrontierResponses(int shard_id, int64_t batch,
+                                               int32_t hop) {
   APAN_TRACE_SPAN("frontier_wait");
   Stopwatch wait_watch;
   double nested_ms = 0.0;  // interleaved message handling, not waiting
   Shard& shard = *shards_[static_cast<size_t>(shard_id)];
+  ExpandScratch& x = shard.expand;
+  std::vector<char>& awaiting_from = x.awaiting_from;
   const ExpansionKey current(batch, hop);
   int awaiting = 0;
   for (const char pending : awaiting_from) awaiting += pending != 0;
@@ -747,15 +776,19 @@ double ShardedEngine::WaitForFrontierResponses(
           continue;
         }
         pending = 0;
-        APAN_CHECK_MSG(response->neighbors.size() == response->slots.size(),
+        APAN_CHECK_MSG(response->neighbors.rows() == response->slots.size(),
                        "frontier response with mismatched slot/neighbor rows");
         for (size_t i = 0; i < response->slots.size(); ++i) {
           const int64_t slot = response->slots[i];
           APAN_CHECK_MSG(
-              slot >= 0 && static_cast<size_t>(slot) < sampled.size(),
+              slot >= 0 && static_cast<size_t>(slot) < x.sample_span.size(),
               "frontier response slot outside the requested expansion");
-          sampled[static_cast<size_t>(slot)] =
-              std::move(response->neighbors[i]);
+          const std::span<const graph::TemporalNeighbor> row =
+              response->neighbors.Row(i);
+          const auto begin = static_cast<int64_t>(x.samples.size());
+          x.samples.insert(x.samples.end(), row.begin(), row.end());
+          x.sample_span[static_cast<size_t>(slot)] = {
+              begin, static_cast<int64_t>(x.samples.size())};
         }
         --awaiting;
       } else {
@@ -821,13 +854,24 @@ void ShardedEngine::AnswerFrontierRequest(int shard_id,
   response.batch = request.batch;
   response.hop = request.hop;
   response.from_shard = shard_id;
+  // Sampled into the worker's reused buffer, then copied into the
+  // message at its exact size: the message crosses threads and is freed
+  // by the requester, so it gets one allocation per array.
+  graph::NeighborRows& answer = shards_[static_cast<size_t>(shard_id)]->answer;
+  answer.Clear();
   response.slots.reserve(request.items.size());
-  response.neighbors.reserve(request.items.size());
   for (const FrontierItem& item : request.items) {
     response.slots.push_back(item.slot);
-    response.neighbors.push_back(graph_.MostRecentNeighborsAsOf(
-        item.node, item.before_time, request.fanout, request.ordinal_limit));
+    graph_.AppendMostRecentNeighborsAsOf(item.node, item.before_time,
+                                         request.fanout,
+                                         request.ordinal_limit,
+                                         &answer.entries);
+    answer.EndRow();
   }
+  response.neighbors.offsets.assign(answer.offsets.begin(),
+                                    answer.offsets.end());
+  response.neighbors.entries.assign(answer.entries.begin(),
+                                    answer.entries.end());
   // Buffered, not sent: the caller's context owns the flush point (after
   // a dispatched message, or coalesced with the next hop's requests).
   BufferMessage(shard_id, request.from_shard,
@@ -978,45 +1022,84 @@ void ShardedEngine::CountDuplicateDropped(int shard_id) {
   ins_.duplicates_dropped->Add(shard_id, 1);
 }
 
-void ShardedEngine::RouteMail(int from_shard, BatchJob& job,
-                              PartialPropagation&& propagation) {
+void ShardedEngine::RouteMail(int from_shard, const BatchJob& job) {
   APAN_TRACE_SPAN("route");
   Stopwatch route_watch;
   const int num_shards = options_.num_shards;
+  const int64_t d = model_->config().embedding_dim;
+  PropagateScratch& scratch =
+      shards_[static_cast<size_t>(from_shard)]->propagate;
+  const core::MailRows& hop0 = scratch.hop0;
+  const core::MailRows& partial = scratch.partial;
+  const core::RecordRows& records = job.records;
+
+  // Owners first (one partition lookup per row), then each
+  // destination's rows are counted so every block is sized once.
+  enum Section { kState, kHop0, kPartial, kSections };
+  std::vector<int>& owner = scratch.route_owner;
+  owner.clear();
+  for (const graph::Event& e : records.events) {
+    owner.push_back(router_.ShardOf(e.src));
+    owner.push_back(router_.ShardOf(e.dst));
+  }
+  for (const graph::NodeId node : hop0.node) {
+    owner.push_back(router_.ShardOf(node));
+  }
+  for (const graph::NodeId node : partial.node) {
+    owner.push_back(router_.ShardOf(node));
+  }
+  const size_t hop0_at = 2 * records.size();
+  const size_t partial_at = hop0_at + hop0.rows();
+  std::vector<size_t>& rows = scratch.route_rows;
+  rows.assign(static_cast<size_t>(num_shards * kSections), 0);
+  for (size_t i = 0; i < owner.size(); ++i) {
+    const Section section =
+        i < hop0_at ? kState : (i < partial_at ? kHop0 : kPartial);
+    ++rows[static_cast<size_t>(owner[i] * kSections + section)];
+  }
   std::vector<ShardPartial> outbound(static_cast<size_t>(num_shards));
   for (int t = 0; t < num_shards; ++t) {
-    outbound[static_cast<size_t>(t)].batch = job.ctx->batch;
-    outbound[static_cast<size_t>(t)].from_shard = from_shard;
+    const size_t* count = &rows[static_cast<size_t>(t * kSections)];
+    ShardPartial& out = outbound[static_cast<size_t>(t)];
+    out.batch = job.ctx->batch;
+    out.from_shard = from_shard;
+    out.rows.dim = d;
+    out.rows.Reserve(count[kState] + count[kHop0] + count[kPartial]);
+    out.num_state_updates = static_cast<int64_t>(count[kState]);
+    out.num_hop0 = static_cast<int64_t>(count[kHop0]);
   }
 
-  // z(t−) write-backs go to each endpoint's owner; sequence tags let the
-  // owner replay them in global event order (later events win).
-  for (size_t i = 0; i < job.records.size(); ++i) {
-    InteractionRecord& rec = job.records[i];
-    const int64_t seq = 2 * job.event_index[i];
-    outbound[static_cast<size_t>(router_.ShardOf(rec.event.src))]
-        .state_updates.push_back(
-            {seq, rec.event.src, std::move(rec.z_src)});
-    outbound[static_cast<size_t>(router_.ShardOf(rec.event.dst))]
-        .state_updates.push_back(
-            {seq + 1, rec.event.dst, std::move(rec.z_dst)});
+  // Sections are appended in order, so each block comes out as
+  // [write-backs | hop-0 mail | partial sums]. z(t−) write-backs go to
+  // each endpoint's owner; sequence tags let the owner replay them in
+  // global event order (later events win).
+  const std::span<const float> z = records.z;
+  const auto row_of = [&z, d](size_t r) {
+    return z.subspan(r * static_cast<size_t>(d), static_cast<size_t>(d));
+  };
+  for (size_t i = 0; i < records.size(); ++i) {
+    const graph::Event& e = records.events[i];
+    const int64_t seq = 2 * records.event_index[i];
+    outbound[static_cast<size_t>(owner[2 * i])].rows.AppendRow(
+        e.src, e.timestamp, 1, seq, row_of(2 * i));
+    outbound[static_cast<size_t>(owner[2 * i + 1])].rows.AppendRow(
+        e.dst, e.timestamp, 1, seq + 1, row_of(2 * i + 1));
   }
-  for (auto& tagged : propagation.hop0) {
-    outbound[static_cast<size_t>(
-                 router_.ShardOf(tagged.delivery.recipient))]
-        .hop0.push_back(std::move(tagged));
+  for (size_t r = 0; r < hop0.rows(); ++r) {
+    outbound[static_cast<size_t>(owner[hop0_at + r])].rows.AppendRowFrom(hop0,
+                                                                        r);
   }
-  for (auto& partial : propagation.partial) {
-    outbound[static_cast<size_t>(router_.ShardOf(partial.recipient))]
-        .partial.push_back(std::move(partial));
+  for (size_t r = 0; r < partial.rows(); ++r) {
+    outbound[static_cast<size_t>(owner[partial_at + r])].rows.AppendRowFrom(
+        partial, r);
   }
 
   int64_t routed = 0;
   int64_t cross_shard = 0;
   for (int t = 0; t < num_shards; ++t) {
     ShardPartial& out = outbound[static_cast<size_t>(t)];
-    const int64_t mails =
-        static_cast<int64_t>(out.hop0.size() + out.partial.size());
+    const auto mails =
+        static_cast<int64_t>(out.rows.rows()) - out.num_state_updates;
     routed += mails;
     if (t != from_shard) cross_shard += mails;
     BufferMessage(from_shard, t, ShardMessage(std::move(out)));
@@ -1069,96 +1152,109 @@ void ShardedEngine::ApplyMergedBatch(int shard_id,
                                      std::vector<ShardPartial> parts) {
   APAN_TRACE_SPAN("merge");
   Stopwatch watch;
+  Shard& shard = *shards_[static_cast<size_t>(shard_id)];
   // Deterministic merge order: contributions sorted by sender shard.
   std::sort(parts.begin(), parts.end(),
             [](const ShardPartial& a, const ShardPartial& b) {
               return a.from_shard < b.from_shard;
             });
   const int64_t batch = parts.front().batch;
-
-  // 1. z(t−) write-backs in global event order (later events win).
-  std::vector<StateUpdate> updates;
-  for (auto& part : parts) {
-    std::move(part.state_updates.begin(), part.state_updates.end(),
-              std::back_inserter(updates));
-    part.state_updates.clear();
+  const int64_t d = model_->config().embedding_dim;
+  for (const ShardPartial& part : parts) {
+    APAN_CHECK_MSG(part.num_state_updates >= 0 && part.num_hop0 >= 0 &&
+                       part.num_state_updates + part.num_hop0 <=
+                           static_cast<int64_t>(part.rows.rows()),
+                   "shard partial sections do not fit its rows");
+    APAN_CHECK_MSG(part.rows.rows() == 0 || part.rows.dim == d,
+                   "shard partial rows have the wrong dimension");
   }
-  std::sort(updates.begin(), updates.end(),
-            [](const StateUpdate& a, const StateUpdate& b) {
-              return a.sequence < b.sequence;
-            });
 
-  // 2. Hop-0 mail replayed in global event order — exactly the per-node
-  // delivery order the single-worker pipeline produces.
-  std::vector<PartialPropagation::TaggedDelivery> tagged;
-  for (auto& part : parts) {
-    std::move(part.hop0.begin(), part.hop0.end(),
-              std::back_inserter(tagged));
-    part.hop0.clear();
-  }
-  std::sort(tagged.begin(), tagged.end(),
-            [](const PartialPropagation::TaggedDelivery& a,
-               const PartialPropagation::TaggedDelivery& b) {
-              return a.sequence < b.sequence;
-            });
-  std::vector<MailDelivery> hop0;
-  hop0.reserve(tagged.size());
-  for (auto& t : tagged) hop0.push_back(std::move(t.delivery));
-
-  // 3. ρ across the whole batch: merge per-recipient partial sums from
-  // all senders, then finalize to one reduced mail per recipient.
-  std::vector<PartialPropagation::PartialReduce> partials;
-  for (auto& part : parts) {
-    std::move(part.partial.begin(), part.partial.end(),
-              std::back_inserter(partials));
-    part.partial.clear();
-  }
-  std::stable_sort(partials.begin(), partials.end(),
-                   [](const PartialPropagation::PartialReduce& a,
-                      const PartialPropagation::PartialReduce& b) {
-                     return a.recipient < b.recipient;
-                   });
-  std::vector<MailDelivery> reduced;
-  size_t i = 0;
-  while (i < partials.size()) {
-    PartialPropagation::PartialReduce merged = std::move(partials[i]);
-    for (++i; i < partials.size() &&
-              partials[i].recipient == merged.recipient;
-         ++i) {
-      const auto& extra = partials[i];
-      for (size_t k = 0; k < merged.sum.size(); ++k) {
-        merged.sum[k] += extra.sum[k];
+  // z(t−) write-backs and hop-0 mail replay in global event order
+  // (sequence tags) — exactly the per-node delivery order of the
+  // single-worker path.
+  using Ref = MergeScratch::Ref;
+  MergeScratch& scratch = shard.merge;
+  std::vector<Ref>& refs = scratch.refs;
+  refs.clear();
+  const auto add_by_tag = [&parts, &refs](bool hop0) {
+    const size_t first = refs.size();
+    for (size_t p = 0; p < parts.size(); ++p) {
+      const ShardPartial& part = parts[p];
+      const auto begin = static_cast<size_t>(hop0 ? part.num_state_updates : 0);
+      const auto end = static_cast<size_t>(
+          part.num_state_updates + (hop0 ? part.num_hop0 : 0));
+      for (size_t r = begin; r < end; ++r) {
+        refs.push_back({part.rows.tag[r], static_cast<uint32_t>(p),
+                        static_cast<uint32_t>(r)});
       }
-      merged.newest = std::max(merged.newest, extra.newest);
-      merged.count += extra.count;
     }
-    reduced.push_back(MailPropagator::FinalizeReduce(std::move(merged)));
+    std::sort(refs.begin() + static_cast<std::ptrdiff_t>(first), refs.end(),
+              [](const Ref& a, const Ref& b) {
+                return std::tie(a.key, a.part, a.row) <
+                       std::tie(b.key, b.part, b.row);
+              });
+    return first;
+  };
+  add_by_tag(false);
+  const size_t hop0_begin = add_by_tag(true);
+
+  // ρ across the whole batch: each recipient's partial sums fold into its
+  // first row in place, in sender order, then finalize to one reduced
+  // mail per recipient. (Delivery order across recipients never affects
+  // state, so no sort is needed.)
+  std::vector<Ref>& merged = scratch.merged;
+  merged.clear();
+  scratch.index.Clear();
+  for (size_t p = 0; p < parts.size(); ++p) {
+    const core::MailRows& rows = parts[p].rows;
+    for (auto r = static_cast<size_t>(parts[p].num_state_updates +
+                                      parts[p].num_hop0);
+         r < rows.rows(); ++r) {
+      const auto [at, first] = scratch.index.Insert(
+          rows.node[r], static_cast<uint32_t>(merged.size()));
+      if (first) {
+        merged.push_back(
+            {0, static_cast<uint32_t>(p), static_cast<uint32_t>(r)});
+        continue;
+      }
+      const Ref lead = merged[at];
+      core::MailRows& into = parts[lead.part].rows;
+      const std::span<float> sum = into.MutableRow(lead.row);
+      const std::span<const float> add = rows.Row(r);
+      for (size_t k = 0; k < sum.size(); ++k) sum[k] += add[k];
+      into.time[lead.row] = std::max(into.time[lead.row], rows.time[r]);
+      into.count[lead.row] += rows.count[r];
+    }
+  }
+  for (const Ref& lead : merged) {
+    core::MailRows& rows = parts[lead.part].rows;
+    MailPropagator::FinalizeSum(rows.MutableRow(lead.row),
+                                rows.count[lead.row]);
   }
 
   {
     // Everything this batch touches is the owner shard's private store:
     // routed state updates and mail land in shard-local memory, never in
     // the model or another shard's rows.
-    Shard& shard = *shards_[static_cast<size_t>(shard_id)];
     util::MutexLock state_lock(shard.state_mu);
-    for (const StateUpdate& u : updates) {
-      shard.store->SetLastEmbedding(u.node, u.z);
+    for (size_t i = 0; i < hop0_begin; ++i) {
+      const core::MailRows& rows = parts[refs[i].part].rows;
+      shard.store->SetLastEmbedding(rows.node[refs[i].row],
+                                    rows.Row(refs[i].row));
     }
-    shard.store->DeliverBatch(std::move(hop0));
-    shard.store->DeliverBatch(std::move(reduced));
+    // Hop-0 mail first, then the reduced mail: each node's deliveries in
+    // exactly the single-worker order.
+    for (size_t i = hop0_begin; i < refs.size(); ++i) {
+      const core::MailRows& rows = parts[refs[i].part].rows;
+      const size_t r = refs[i].row;
+      shard.store->DeliverMail(rows.node[r], rows.Row(r), rows.time[r]);
+    }
+    for (const Ref& lead : merged) {
+      const core::MailRows& rows = parts[lead.part].rows;
+      shard.store->DeliverMail(rows.node[lead.row], rows.Row(lead.row),
+                               rows.time[lead.row]);
+    }
   }
-  // Teardown inside the watch: `updates` still owns two z vectors per
-  // event (SetLastEmbedding copies), and freeing them is a real,
-  // batch-sized slice of the merge — dropping it after the record would
-  // leak it into the fig10 attribution residue.
-  updates.clear();
-  updates.shrink_to_fit();
-  tagged.clear();
-  tagged.shrink_to_fit();
-  partials.clear();
-  partials.shrink_to_fit();
-  parts.clear();
-  parts.shrink_to_fit();
   ins_.stage_merge->Record(shard_id, watch.ElapsedMillis());
 
   util::MutexLock lock(flush_mu_);

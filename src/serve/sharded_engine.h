@@ -39,10 +39,11 @@
 //       (deferring the request until its watermark reaches b) and replies
 //       with the sampled neighbors. Slot-sequence tags let the home shard
 //       reassemble every hop in the exact monolithic expansion order;
-//     · each resulting MailDelivery and z(t−) write-back is *routed* to
-//       its recipient's owner shard as a ShardPartial message. Cross-shard
-//       mail therefore arrives interleaved with other shards' traffic —
-//       out of order by construction;
+//     · each resulting mail row and z(t−) write-back is *routed* to its
+//       recipient's owner shard inside a ShardPartial message (flat
+//       core::MailRows blocks). Cross-shard mail therefore arrives
+//       interleaved with other shards' traffic — out of order by
+//       construction;
 //     · a recipient shard reassembles a batch once partials from all N
 //       shards have arrived, then applies state updates and mail to its
 //       rows in global event order (sequence tags), restoring exactly the
@@ -321,8 +322,9 @@ class ShardedEngine {
   /// the transport.
   struct BatchJob {
     std::shared_ptr<BatchContext> ctx;
-    std::vector<core::InteractionRecord> records;
-    std::vector<int64_t> event_index;  ///< Global batch positions.
+    /// The home events with their global batch positions and one flat
+    /// z block (z_src, z_dst rows per event).
+    core::RecordRows records;
     /// Control jobs run on the owning worker instead of propagating a
     /// batch: kReset clears the shard (ResetState), kSnapshot captures it
     /// to `snapshot_path`, kRestore installs `restore` into it. Routing
@@ -347,6 +349,54 @@ class ShardedEngine {
   /// An expansion's identity, ordered as expansions run: batch-major,
   /// hop-minor. Used as the replay watermark for frontier dedup.
   using ExpansionKey = std::pair<int64_t, int32_t>;
+
+  /// A worker's per-batch scratch, one set per role: a frontier wait
+  /// inside an expansion re-enters merges and frontier answers while the
+  /// expansion's buffers are live, so no two roles share a buffer. Every
+  /// buffer is cleared, never freed, between batches, and starts empty —
+  /// the constructor allocates nothing; buffers grow on first use.
+  struct ExpandScratch {
+    struct Slot {
+      uint32_t record;
+      graph::NodeId node;
+    };
+    std::vector<Slot> slots;       ///< This hop's frontier, record-major.
+    std::vector<Slot> next_slots;  ///< The next hop's frontier.
+    std::vector<int> slot_owner;
+    std::vector<size_t> asked;  ///< Per destination: slots to request.
+    std::vector<size_t> local_slots;
+    /// Per destination shard: this hop's request (items reused).
+    std::vector<FrontierRequest> requests;
+    std::vector<char> awaiting_from;
+    /// Per slot: its sampled neighbors as [begin, end) of `samples`
+    /// (local reads and foreign answers alike).
+    std::vector<std::pair<int64_t, int64_t>> sample_span;
+    std::vector<graph::TemporalNeighbor> samples;
+    /// Hop entries in expansion (hop-major) order and their records,
+    /// regrouped record-major into `hops` once the last hop is in.
+    std::vector<graph::HopEntry> staged;
+    std::vector<uint32_t> staged_record;
+    std::vector<int64_t> cursor;
+    graph::HopRows hops;
+  };
+  struct PropagateScratch {
+    core::NodeRowIndex rho;  ///< The ρ accumulator's recipient index.
+    core::MailRows hop0;
+    core::MailRows partial;
+    std::vector<int> route_owner;    ///< Owner shard per routed row.
+    std::vector<size_t> route_rows;  ///< Per destination × section.
+  };
+  struct MergeScratch {
+    /// One row of one received part.
+    struct Ref {
+      int64_t key;  ///< Sequence tag (unused for partial sums).
+      uint32_t part;
+      uint32_t row;
+    };
+    std::vector<Ref> refs;    ///< Write-backs then hop-0 mail, by tag.
+    std::vector<Ref> merged;  ///< One partial-sum row per recipient.
+    core::NodeRowIndex index;  ///< Recipient → entry of `merged`.
+  };
 
   struct Shard {
     /// Guards the *pointee* of `store` between the encode pool
@@ -392,6 +442,12 @@ class ShardedEngine {
     std::vector<ExpansionKey> accepted_request;  ///< Per requester shard.
     ExpansionKey last_wait{-1, 0};  ///< Newest completed response wait.
 
+    /// Per-role scratch (worker thread only; see ExpandScratch).
+    ExpandScratch expand;
+    PropagateScratch propagate;
+    MergeScratch merge;
+    graph::NeighborRows answer;  ///< AnswerFrontierRequest's samples.
+
     std::thread worker;
   };
 
@@ -414,8 +470,9 @@ class ShardedEngine {
   void OnMail(int shard_id, ShardPartial partial) APAN_EXCLUDES(flush_mu_);
   void ApplyMergedBatch(int shard_id, std::vector<ShardPartial> parts)
       APAN_EXCLUDES(flush_mu_);
-  void RouteMail(int from_shard, BatchJob& job,
-                 core::PartialPropagation&& propagation);
+  /// Routes the job's z(t−) write-backs and the shard's propagate
+  /// scratch (hop-0 mail, partial sums) to the recipients' owners.
+  void RouteMail(int from_shard, const BatchJob& job);
   /// Queues `message` in the sender worker's per-peer outbound buffer;
   /// nothing crosses the transport until FlushOutbound. Worker thread
   /// only.
@@ -440,20 +497,19 @@ class ShardedEngine {
 
   /// k-hop expansion for a job's records against the sharded graph
   /// as-of the job's batch: local frontiers sampled from the own slice,
-  /// foreign frontiers forwarded to their owners.
-  std::vector<std::vector<graph::HopEntry>> ExpandKHop(int shard_id,
-                                                       const BatchJob& job);
-  /// Blocks until each shard flagged in `awaiting_from` responded for
-  /// (batch, hop), serving interleaved requests/partials from the own
-  /// inbox meanwhile. Re-delivered responses are dropped by tag.
+  /// foreign frontiers forwarded to their owners. The result is the
+  /// shard's expand.hops (one row per record, in the monolithic
+  /// per-record KHopMostRecent order).
+  void ExpandKHop(int shard_id, const BatchJob& job);
+  /// Blocks until each shard flagged in expand.awaiting_from responded
+  /// for (batch, hop), serving interleaved requests/partials from the own
+  /// inbox meanwhile; answers land in expand.samples / sample_span.
+  /// Re-delivered responses are dropped by tag.
   /// \return wall milliseconds spent inside the call, so ExpandKHop can
   /// attribute it to stage.frontier_wait instead of stage.sample (the
   /// time spent *dispatching* interleaved messages is subtracted out
   /// again internally — nested handlers record their own stages).
-  double WaitForFrontierResponses(
-      int shard_id, int64_t batch, int32_t hop,
-      std::vector<char>& awaiting_from,
-      std::vector<std::vector<graph::TemporalNeighbor>>& sampled);
+  double WaitForFrontierResponses(int shard_id, int64_t batch, int32_t hop);
   void HandleFrontierRequest(int shard_id, FrontierRequest request);
   void AnswerFrontierRequest(int shard_id, const FrontierRequest& request);
   /// Answers deferred requests the latest slice append unblocked.

@@ -53,11 +53,33 @@ void PutF32Vec(std::vector<uint8_t>* out, const std::vector<float>& v) {
   for (const float x : v) PutF32(out, x);
 }
 
-void PutDelivery(std::vector<uint8_t>* out, const core::MailDelivery& d) {
-  PutI64(out, d.recipient);
-  PutF32Vec(out, d.mail);
-  PutF64(out, d.timestamp);
-  PutI64(out, d.contributions);
+void PutF64Vec(std::vector<uint8_t>* out, const std::vector<double>& v) {
+  PutU64(out, v.size());
+  for (const double x : v) PutF64(out, x);
+}
+
+void PutI64Vec(std::vector<uint8_t>* out, const std::vector<int64_t>& v) {
+  PutU64(out, v.size());
+  for (const int64_t x : v) PutI64(out, x);
+}
+
+void PutMailRows(std::vector<uint8_t>* out, const core::MailRows& m) {
+  PutI64Vec(out, m.node);
+  PutF64Vec(out, m.time);
+  PutI64Vec(out, m.count);
+  PutI64Vec(out, m.tag);
+  PutI64(out, m.dim);
+  PutF32Vec(out, m.payload);
+}
+
+void PutNeighborRows(std::vector<uint8_t>* out, const graph::NeighborRows& m) {
+  PutI64Vec(out, m.offsets);
+  PutU64(out, m.entries.size());
+  for (const graph::TemporalNeighbor& n : m.entries) {
+    PutI64(out, n.node);
+    PutI64(out, n.edge_id);
+    PutF64(out, n.timestamp);
+  }
 }
 
 // ---- Bounds-checked reader -------------------------------------------------
@@ -167,11 +189,87 @@ class Reader {
     return Status::OK();
   }
 
-  Status ReadDelivery(core::MailDelivery* d) {
-    APAN_RETURN_NOT_OK(ReadI64(&d->recipient, "delivery.recipient"));
-    APAN_RETURN_NOT_OK(ReadF32Vec(&d->mail, "delivery.mail"));
-    APAN_RETURN_NOT_OK(ReadF64(&d->timestamp, "delivery.timestamp"));
-    APAN_RETURN_NOT_OK(ReadI64(&d->contributions, "delivery.contributions"));
+  Status ReadF64Vec(std::vector<double>* v, const char* what) {
+    uint64_t count = 0;
+    APAN_RETURN_NOT_OK(ReadCount(&count, 8, what));
+    v->resize(static_cast<size_t>(count));
+    for (auto& x : *v) APAN_RETURN_NOT_OK(ReadF64(&x, what));
+    return Status::OK();
+  }
+
+  Status ReadI64Vec(std::vector<int64_t>* v, const char* what) {
+    uint64_t count = 0;
+    APAN_RETURN_NOT_OK(ReadCount(&count, 8, what));
+    v->resize(static_cast<size_t>(count));
+    for (auto& x : *v) APAN_RETURN_NOT_OK(ReadI64(&x, what));
+    return Status::OK();
+  }
+
+  /// Reads a flat mail block and validates its shape: the four per-row
+  /// arrays have equal length and the payload holds rows × dim floats.
+  Status ReadMailRows(core::MailRows* m, const char* what) {
+    APAN_RETURN_NOT_OK(ReadI64Vec(&m->node, what));
+    APAN_RETURN_NOT_OK(ReadF64Vec(&m->time, what));
+    APAN_RETURN_NOT_OK(ReadI64Vec(&m->count, what));
+    APAN_RETURN_NOT_OK(ReadI64Vec(&m->tag, what));
+    APAN_RETURN_NOT_OK(ReadI64(&m->dim, what));
+    APAN_RETURN_NOT_OK(ReadF32Vec(&m->payload, what));
+    const size_t rows = m->node.size();
+    if (m->time.size() != rows || m->count.size() != rows ||
+        m->tag.size() != rows) {
+      return Status::IoError(internal::StrCat(
+          "wire: ", what, " has per-row arrays of unequal length (node ",
+          rows, ", time ", m->time.size(), ", count ", m->count.size(),
+          ", tag ", m->tag.size(), ")"));
+    }
+    // rows × dim compared by division so a corrupt dim cannot overflow.
+    const bool shape_ok =
+        m->dim >= 0 &&
+        (m->dim == 0
+             ? m->payload.empty()
+             : m->payload.size() % static_cast<uint64_t>(m->dim) == 0 &&
+                   m->payload.size() / static_cast<uint64_t>(m->dim) == rows);
+    if (!shape_ok) {
+      return Status::IoError(internal::StrCat(
+          "wire: ", what, " payload of ", m->payload.size(),
+          " floats is not rows (", rows, ") x dim (", m->dim, ")"));
+    }
+    return Status::OK();
+  }
+
+  /// Reads a CSR neighbor block and validates its offsets: empty (no
+  /// rows, no entries) or starting at 0, never decreasing, and ending at
+  /// the entry count.
+  Status ReadNeighborRows(graph::NeighborRows* m, const char* what) {
+    APAN_RETURN_NOT_OK(ReadI64Vec(&m->offsets, what));
+    uint64_t count = 0;
+    APAN_RETURN_NOT_OK(ReadCount(&count, 24, what));
+    m->entries.resize(static_cast<size_t>(count));
+    for (graph::TemporalNeighbor& n : m->entries) {
+      APAN_RETURN_NOT_OK(ReadI64(&n.node, "neighbor.node"));
+      APAN_RETURN_NOT_OK(ReadI64(&n.edge_id, "neighbor.edge_id"));
+      APAN_RETURN_NOT_OK(ReadF64(&n.timestamp, "neighbor.timestamp"));
+    }
+    const std::vector<int64_t>& offsets = m->offsets;
+    const auto entries = static_cast<int64_t>(m->entries.size());
+    if (offsets.empty()) {
+      if (entries != 0) {
+        return Status::IoError(internal::StrCat(
+            "wire: ", what, " has ", entries, " entries but no offsets"));
+      }
+      return Status::OK();
+    }
+    if (offsets.front() != 0 || offsets.back() != entries) {
+      return Status::IoError(internal::StrCat(
+          "wire: ", what, " offsets span [", offsets.front(), ", ",
+          offsets.back(), "], not [0, ", entries, "]"));
+    }
+    for (size_t i = 1; i < offsets.size(); ++i) {
+      if (offsets[i] < offsets[i - 1]) {
+        return Status::IoError(internal::StrCat(
+            "wire: ", what, " offsets decrease at row ", i - 1));
+      }
+    }
     return Status::OK();
   }
 
@@ -185,52 +283,27 @@ class Reader {
 void EncodeBody(std::vector<uint8_t>* out, const ShardPartial& m) {
   PutI64(out, m.batch);
   PutI32(out, m.from_shard);
-  PutU64(out, m.state_updates.size());
-  for (const StateUpdate& u : m.state_updates) {
-    PutI64(out, u.sequence);
-    PutI64(out, u.node);
-    PutF32Vec(out, u.z);
-  }
-  PutU64(out, m.hop0.size());
-  for (const core::PartialPropagation::TaggedDelivery& t : m.hop0) {
-    PutI64(out, t.sequence);
-    PutDelivery(out, t.delivery);
-  }
-  PutU64(out, m.partial.size());
-  for (const core::PartialPropagation::PartialReduce& p : m.partial) {
-    PutI64(out, p.recipient);
-    PutF32Vec(out, p.sum);
-    PutF64(out, p.newest);
-    PutI64(out, p.count);
-  }
+  PutMailRows(out, m.rows);
+  PutI64(out, m.num_state_updates);
+  PutI64(out, m.num_hop0);
 }
 
 Status DecodeBody(Reader* r, ShardPartial* m) {
   APAN_RETURN_NOT_OK(r->ReadI64(&m->batch, "partial.batch"));
   APAN_RETURN_NOT_OK(r->ReadI32(&m->from_shard, "partial.from_shard"));
-  uint64_t count = 0;
-  // Min element sizes are each struct's fixed fields plus its empty
-  // vectors' count words.
-  APAN_RETURN_NOT_OK(r->ReadCount(&count, 24, "partial.state_updates"));
-  m->state_updates.resize(static_cast<size_t>(count));
-  for (StateUpdate& u : m->state_updates) {
-    APAN_RETURN_NOT_OK(r->ReadI64(&u.sequence, "state_update.sequence"));
-    APAN_RETURN_NOT_OK(r->ReadI64(&u.node, "state_update.node"));
-    APAN_RETURN_NOT_OK(r->ReadF32Vec(&u.z, "state_update.z"));
-  }
-  APAN_RETURN_NOT_OK(r->ReadCount(&count, 40, "partial.hop0"));
-  m->hop0.resize(static_cast<size_t>(count));
-  for (core::PartialPropagation::TaggedDelivery& t : m->hop0) {
-    APAN_RETURN_NOT_OK(r->ReadI64(&t.sequence, "hop0.sequence"));
-    APAN_RETURN_NOT_OK(r->ReadDelivery(&t.delivery));
-  }
-  APAN_RETURN_NOT_OK(r->ReadCount(&count, 32, "partial.partial"));
-  m->partial.resize(static_cast<size_t>(count));
-  for (core::PartialPropagation::PartialReduce& p : m->partial) {
-    APAN_RETURN_NOT_OK(r->ReadI64(&p.recipient, "reduce.recipient"));
-    APAN_RETURN_NOT_OK(r->ReadF32Vec(&p.sum, "reduce.sum"));
-    APAN_RETURN_NOT_OK(r->ReadF64(&p.newest, "reduce.newest"));
-    APAN_RETURN_NOT_OK(r->ReadI64(&p.count, "reduce.count"));
+  APAN_RETURN_NOT_OK(r->ReadMailRows(&m->rows, "partial.rows"));
+  APAN_RETURN_NOT_OK(
+      r->ReadI64(&m->num_state_updates, "partial.num_state_updates"));
+  APAN_RETURN_NOT_OK(r->ReadI64(&m->num_hop0, "partial.num_hop0"));
+  // The sections must tile a prefix of the rows (compared without
+  // overflow: each count is checked against what is left).
+  const auto rows = static_cast<int64_t>(m->rows.rows());
+  if (m->num_state_updates < 0 || m->num_hop0 < 0 ||
+      m->num_state_updates > rows ||
+      m->num_hop0 > rows - m->num_state_updates) {
+    return Status::IoError(internal::StrCat(
+        "wire: partial sections (", m->num_state_updates, " write-backs, ",
+        m->num_hop0, " hop-0 mails) do not fit its ", rows, " rows"));
   }
   return Status::OK();
 }
@@ -270,40 +343,20 @@ void EncodeBody(std::vector<uint8_t>* out, const FrontierResponse& m) {
   PutI64(out, m.batch);
   PutI32(out, m.hop);
   PutI32(out, m.from_shard);
-  PutU64(out, m.slots.size());
-  for (const int64_t slot : m.slots) PutI64(out, slot);
-  PutU64(out, m.neighbors.size());
-  for (const std::vector<graph::TemporalNeighbor>& row : m.neighbors) {
-    PutU64(out, row.size());
-    for (const graph::TemporalNeighbor& n : row) {
-      PutI64(out, n.node);
-      PutI64(out, n.edge_id);
-      PutF64(out, n.timestamp);
-    }
-  }
+  PutI64Vec(out, m.slots);
+  PutNeighborRows(out, m.neighbors);
 }
 
 Status DecodeBody(Reader* r, FrontierResponse* m) {
   APAN_RETURN_NOT_OK(r->ReadI64(&m->batch, "response.batch"));
   APAN_RETURN_NOT_OK(r->ReadI32(&m->hop, "response.hop"));
   APAN_RETURN_NOT_OK(r->ReadI32(&m->from_shard, "response.from_shard"));
-  uint64_t count = 0;
-  APAN_RETURN_NOT_OK(r->ReadCount(&count, 8, "response.slots"));
-  m->slots.resize(static_cast<size_t>(count));
-  for (int64_t& slot : m->slots) {
-    APAN_RETURN_NOT_OK(r->ReadI64(&slot, "response.slot"));
-  }
-  APAN_RETURN_NOT_OK(r->ReadCount(&count, 8, "response.neighbors"));
-  m->neighbors.resize(static_cast<size_t>(count));
-  for (std::vector<graph::TemporalNeighbor>& row : m->neighbors) {
-    uint64_t row_count = 0;
-    APAN_RETURN_NOT_OK(r->ReadCount(&row_count, 24, "response.row"));
-    row.resize(static_cast<size_t>(row_count));
-    for (graph::TemporalNeighbor& n : row) {
-      APAN_RETURN_NOT_OK(r->ReadI64(&n.node, "neighbor.node"));
-      APAN_RETURN_NOT_OK(r->ReadI64(&n.edge_id, "neighbor.edge_id"));
-      APAN_RETURN_NOT_OK(r->ReadF64(&n.timestamp, "neighbor.timestamp"));
-    }
+  APAN_RETURN_NOT_OK(r->ReadI64Vec(&m->slots, "response.slots"));
+  APAN_RETURN_NOT_OK(r->ReadNeighborRows(&m->neighbors, "response.neighbors"));
+  if (m->neighbors.rows() != m->slots.size()) {
+    return Status::IoError(internal::StrCat(
+        "wire: response answers ", m->slots.size(), " slots with ",
+        m->neighbors.rows(), " neighbor rows"));
   }
   return Status::OK();
 }

@@ -18,13 +18,18 @@
 // All integers are little-endian fixed-width; floating-point values are
 // bit-cast to the same-width integer, so a round trip is bitwise exact for
 // every representable value (negative zero, NaN payloads, ±inf). Vectors
-// are a u64 count followed by the elements.
+// are a u64 count followed by the elements. Mail travels as flat blocks
+// (core::MailRows, graph::NeighborRows); docs/serving.md has the full
+// body grammar.
 //
 // Decoding is defensive: every read is bounds-checked, vector counts are
 // validated against the bytes actually remaining before any allocation,
-// and a payload with trailing bytes is rejected — a truncated or corrupt
-// frame yields a non-OK Status, never UB. Encoders and decoders are pure
-// functions with no shared state; they are safe to call from any thread.
+// every flat block's shape is validated (equal-length per-row arrays,
+// payload = rows × dim, CSR offsets from 0, non-decreasing, ending at the
+// entry count), and a payload with trailing bytes is rejected — a
+// truncated or corrupt frame yields a non-OK Status, never UB. Encoders
+// and decoders are pure functions with no shared state; they are safe to
+// call from any thread.
 
 #ifndef APAN_SERVE_WIRE_H_
 #define APAN_SERVE_WIRE_H_

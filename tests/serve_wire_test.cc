@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <limits>
 
@@ -31,40 +32,21 @@ bool SameFloats(const std::vector<float>& a, const std::vector<float>& b) {
   return true;
 }
 
-bool Equal(const core::MailDelivery& a, const core::MailDelivery& b) {
-  return a.recipient == b.recipient && SameFloats(a.mail, b.mail) &&
-         SameBits(a.timestamp, b.timestamp) &&
-         a.contributions == b.contributions;
+bool Equal(const core::MailRows& a, const core::MailRows& b) {
+  if (a.dim != b.dim || a.node != b.node || a.count != b.count ||
+      a.tag != b.tag || a.time.size() != b.time.size()) {
+    return false;
+  }
+  for (size_t i = 0; i < a.time.size(); ++i) {
+    if (!SameBits(a.time[i], b.time[i])) return false;
+  }
+  return SameFloats(a.payload, b.payload);
 }
 
 bool Equal(const ShardPartial& a, const ShardPartial& b) {
-  if (a.batch != b.batch || a.from_shard != b.from_shard ||
-      a.state_updates.size() != b.state_updates.size() ||
-      a.hop0.size() != b.hop0.size() || a.partial.size() != b.partial.size()) {
-    return false;
-  }
-  for (size_t i = 0; i < a.state_updates.size(); ++i) {
-    const StateUpdate& u = a.state_updates[i];
-    const StateUpdate& v = b.state_updates[i];
-    if (u.sequence != v.sequence || u.node != v.node || !SameFloats(u.z, v.z)) {
-      return false;
-    }
-  }
-  for (size_t i = 0; i < a.hop0.size(); ++i) {
-    if (a.hop0[i].sequence != b.hop0[i].sequence ||
-        !Equal(a.hop0[i].delivery, b.hop0[i].delivery)) {
-      return false;
-    }
-  }
-  for (size_t i = 0; i < a.partial.size(); ++i) {
-    const core::PartialPropagation::PartialReduce& p = a.partial[i];
-    const core::PartialPropagation::PartialReduce& q = b.partial[i];
-    if (p.recipient != q.recipient || !SameFloats(p.sum, q.sum) ||
-        !SameBits(p.newest, q.newest) || p.count != q.count) {
-      return false;
-    }
-  }
-  return true;
+  return a.batch == b.batch && a.from_shard == b.from_shard &&
+         Equal(a.rows, b.rows) && a.num_state_updates == b.num_state_updates &&
+         a.num_hop0 == b.num_hop0;
 }
 
 bool Equal(const FrontierRequest& a, const FrontierRequest& b) {
@@ -85,18 +67,16 @@ bool Equal(const FrontierRequest& a, const FrontierRequest& b) {
 
 bool Equal(const FrontierResponse& a, const FrontierResponse& b) {
   if (a.batch != b.batch || a.hop != b.hop || a.from_shard != b.from_shard ||
-      a.slots != b.slots || a.neighbors.size() != b.neighbors.size()) {
+      a.slots != b.slots || a.neighbors.offsets != b.neighbors.offsets ||
+      a.neighbors.entries.size() != b.neighbors.entries.size()) {
     return false;
   }
-  for (size_t i = 0; i < a.neighbors.size(); ++i) {
-    if (a.neighbors[i].size() != b.neighbors[i].size()) return false;
-    for (size_t j = 0; j < a.neighbors[i].size(); ++j) {
-      const graph::TemporalNeighbor& n = a.neighbors[i][j];
-      const graph::TemporalNeighbor& m = b.neighbors[i][j];
-      if (n.node != m.node || n.edge_id != m.edge_id ||
-          !SameBits(n.timestamp, m.timestamp)) {
-        return false;
-      }
+  for (size_t j = 0; j < a.neighbors.entries.size(); ++j) {
+    const graph::TemporalNeighbor& n = a.neighbors.entries[j];
+    const graph::TemporalNeighbor& m = b.neighbors.entries[j];
+    if (n.node != m.node || n.edge_id != m.edge_id ||
+        !SameBits(n.timestamp, m.timestamp)) {
+      return false;
     }
   }
   return true;
@@ -126,26 +106,19 @@ ShardPartial MakePartial() {
   ShardPartial m;
   m.batch = 41;
   m.from_shard = 3;
-  // Negative timestamps, empty mail payloads, zero-length z, NaN and -0.0
-  // are all representable states the wire must carry bitwise.
-  m.state_updates.push_back({0, 7, {1.0f, -2.5f, 0.0f}});
-  m.state_updates.push_back({std::numeric_limits<int64_t>::max(), 0, {}});
-  core::PartialPropagation::TaggedDelivery hop0;
-  hop0.sequence = 5;
-  hop0.delivery = {11, {}, -123.5, 1};  // empty mail payload, negative time
-  m.hop0.push_back(hop0);
-  hop0.sequence = 6;
-  hop0.delivery = {12,
-                   {std::numeric_limits<float>::quiet_NaN(), -0.0f},
-                   std::numeric_limits<double>::infinity(),
-                   2};
-  m.hop0.push_back(hop0);
-  core::PartialPropagation::PartialReduce reduce;
-  reduce.recipient = 9;
-  reduce.sum = {0.25f, 0.75f};
-  reduce.newest = -0.0;
-  reduce.count = 3;
-  m.partial.push_back(reduce);
+  // Negative timestamps, max tags, NaN, ±inf and -0.0 are all
+  // representable states the wire must carry bitwise.
+  m.rows.dim = 2;
+  m.rows.AppendRow(7, 1.5, 1, 0, std::vector<float>{1.0f, -2.5f});
+  m.rows.AppendRow(0, -0.0, 1, std::numeric_limits<int64_t>::max());
+  m.num_state_updates = 2;
+  m.rows.AppendRow(11, -123.5, 1, 5);  // zero payload, negative time
+  float* mail =
+      m.rows.AppendRow(12, std::numeric_limits<double>::infinity(), 2, 6);
+  mail[0] = std::numeric_limits<float>::quiet_NaN();
+  mail[1] = -0.0f;
+  m.num_hop0 = 2;
+  m.rows.AppendRow(9, -0.0, 3, 0, std::vector<float>{0.25f, 0.75f});
   return m;
 }
 
@@ -169,9 +142,11 @@ FrontierResponse MakeResponse() {
   m.hop = 2;
   m.from_shard = 2;
   m.slots = {std::numeric_limits<int64_t>::max(), 0, 3};
-  m.neighbors.push_back({{5, 17, -1.5}, {6, 18, 2.25}});
-  m.neighbors.push_back({});  // isolated node: empty sample
-  m.neighbors.push_back({{7, 19, std::numeric_limits<double>::lowest()}});
+  m.neighbors.entries = {{5, 17, -1.5}, {6, 18, 2.25}};
+  m.neighbors.EndRow();
+  m.neighbors.EndRow();  // isolated node: empty sample
+  m.neighbors.entries.push_back({7, 19, std::numeric_limits<double>::lowest()});
+  m.neighbors.EndRow();
   return m;
 }
 
@@ -222,6 +197,12 @@ TEST(WireTest, FrameRoundTrip) {
 
 // ---- Malformed input -------------------------------------------------------
 
+// A frame's payload view (length prefix stripped).
+std::span<const uint8_t> FramePayloadOf(const std::vector<uint8_t>& frame) {
+  return std::span<const uint8_t>(frame.data() + wire::kFrameHeaderBytes,
+                                  frame.size() - wire::kFrameHeaderBytes);
+}
+
 TEST(WireTest, EveryTruncationFailsCleanly) {
   for (const ShardMessage& message : Exemplars()) {
     const std::vector<uint8_t> payload = wire::EncodeMessage(message);
@@ -248,14 +229,104 @@ TEST(WireTest, UnknownKindRejected) {
 }
 
 TEST(WireTest, CorruptCountRejectedBeforeAllocation) {
-  // A partial whose state_updates count claims 2^61 entries: the decoder
-  // must reject against the bytes remaining, not try to resize.
+  // A partial whose row count claims 2^61 entries: the decoder must
+  // reject against the bytes remaining, not try to resize.
   std::vector<uint8_t> payload = wire::EncodeMessage(ShardMessage(ShardPartial{}));
-  // Layout: kind(1) + batch(8) + from_shard(4) + state_updates count(8).
+  // Layout: kind(1) + batch(8) + from_shard(4) + rows.node count(8).
   ASSERT_GE(payload.size(), 21u);
   for (size_t i = 13; i < 21; ++i) payload[i] = 0xFF;
   Result<ShardMessage> decoded = wire::DecodeMessage(payload);
   EXPECT_FALSE(decoded.ok());
+}
+
+// ---- Shape rules of the flat blocks ----------------------------------------
+// Each probe encodes a block that breaks exactly one shape rule (the
+// encoder writes whatever it is given) and requires a clean rejection.
+
+void ExpectRejected(const ShardMessage& message) {
+  const std::vector<uint8_t> payload = wire::EncodeMessage(message);
+  EXPECT_FALSE(wire::DecodeMessage(payload).ok());
+  std::vector<uint8_t> frame;
+  const ShardMessage pair[] = {message, ShardMessage(FrontierRequest{})};
+  wire::AppendBatchFrame(pair, &frame);
+  EXPECT_FALSE(wire::DecodeMessages(FramePayloadOf(frame)).ok());
+}
+
+TEST(WireTest, MailRowsUnequalPerRowArraysRejected) {
+  for (int broken = 0; broken < 4; ++broken) {
+    ShardPartial m = MakePartial();
+    core::MailRows& rows = m.rows;
+    if (broken == 0) rows.time.pop_back();
+    if (broken == 1) rows.count.push_back(1);
+    if (broken == 2) rows.tag.pop_back();
+    if (broken == 3) rows.node.push_back(1);  // one node too many
+    ExpectRejected(m);
+  }
+}
+
+TEST(WireTest, MailRowsPayloadNotRowsTimesDimRejected) {
+  ShardPartial short_payload = MakePartial();
+  short_payload.rows.payload.pop_back();
+  ExpectRejected(short_payload);
+  ShardPartial wrong_dim = MakePartial();
+  wrong_dim.rows.dim = 3;  // 5 rows x 2 floats is not 5 x 3
+  ExpectRejected(wrong_dim);
+  ShardPartial negative_dim = MakePartial();
+  negative_dim.rows.dim = -2;
+  ExpectRejected(negative_dim);
+  ShardPartial zero_dim = MakePartial();
+  zero_dim.rows.dim = 0;  // rows present, payload non-empty
+  ExpectRejected(zero_dim);
+  ShardPartial overflow_dim = MakePartial();
+  overflow_dim.rows.dim = std::numeric_limits<int64_t>::max();
+  ExpectRejected(overflow_dim);
+}
+
+TEST(WireTest, PartialSectionsMustFitRows) {
+  ShardPartial negative = MakePartial();
+  negative.num_hop0 = -1;
+  ExpectRejected(negative);
+  ShardPartial too_many = MakePartial();
+  too_many.num_hop0 = 4;  // 2 write-backs + 4 hop-0 rows > 5 rows
+  ExpectRejected(too_many);
+  ShardPartial overflow = MakePartial();
+  overflow.num_state_updates = std::numeric_limits<int64_t>::max();
+  overflow.num_hop0 = std::numeric_limits<int64_t>::max();
+  ExpectRejected(overflow);
+  ShardPartial all_sums = MakePartial();  // still valid: no sections
+  all_sums.num_state_updates = 0;
+  all_sums.num_hop0 = 0;
+  ExpectRoundTrip(all_sums);
+}
+
+TEST(WireTest, NeighborOffsetsMustStartAtZero) {
+  FrontierResponse m = MakeResponse();
+  for (int64_t& offset : m.neighbors.offsets) offset += 1;
+  m.neighbors.entries.push_back({8, 20, 0.5});
+  ExpectRejected(m);
+}
+
+TEST(WireTest, NeighborOffsetsMustNotDecrease) {
+  FrontierResponse m = MakeResponse();
+  ASSERT_EQ(m.neighbors.offsets, (std::vector<int64_t>{0, 2, 2, 3}));
+  m.neighbors.offsets = {0, 3, 2, 3};
+  ExpectRejected(m);
+}
+
+TEST(WireTest, NeighborOffsetsMustEndAtEntryCount) {
+  FrontierResponse m = MakeResponse();
+  m.neighbors.offsets.back() = 2;
+  ExpectRejected(m);
+  FrontierResponse no_offsets = MakeResponse();
+  no_offsets.neighbors.offsets.clear();
+  no_offsets.slots.clear();
+  ExpectRejected(no_offsets);  // entries without any row
+}
+
+TEST(WireTest, NeighborRowsMustMatchSlots) {
+  FrontierResponse m = MakeResponse();
+  m.slots.pop_back();
+  ExpectRejected(m);
 }
 
 TEST(WireTest, FrameLengthValidation) {
