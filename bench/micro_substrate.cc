@@ -18,7 +18,6 @@
 #include "tensor/arena.h"
 #include "tensor/kernels.h"
 #include "tensor/ops.h"
-#include "util/bounded_queue.h"
 
 namespace apan {
 namespace {
@@ -531,17 +530,6 @@ void BM_MailboxReadBatch(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * state.range(0));
 }
 BENCHMARK(BM_MailboxReadBatch)->Arg(200)->Arg(1000);
-
-// ---- Queue ------------------------------------------------------------------
-
-void BM_BoundedQueueRoundTrip(benchmark::State& state) {
-  BoundedQueue<int> q(1024);
-  for (auto _ : state) {
-    APAN_CHECK(q.Push(1).ok());
-    benchmark::DoNotOptimize(q.TryPop());
-  }
-}
-BENCHMARK(BM_BoundedQueueRoundTrip);
 
 }  // namespace
 }  // namespace apan

@@ -6,9 +6,9 @@
 //     shard (exposed as the const-only core::ApanWeights view);
 //   · mutable per-node *state* — the z(t−) table and the mailbox — held
 //     in a core::NodeStateStore. The model owns one default store
-//     covering all nodes (the monolithic layout that training and the
-//     single-worker AsyncPipeline use); serve::ShardedEngine replaces it
-//     with N disjoint per-shard stores and never touches this one.
+//     covering all nodes (the monolithic layout that training and a
+//     sequential replay use); serve::ShardedEngine replaces it with N
+//     disjoint per-shard stores and never touches this one.
 //
 // The synchronous path (EncodeNodes → decoder) touches only the state
 // store — node embeddings and mailboxes — and never queries the temporal
@@ -47,6 +47,8 @@ class ApanModel : public nn::Module {
             const graph::EdgeFeatureStore* features, uint64_t seed);
 
   const ApanConfig& config() const { return config_; }
+  /// The edge features events index by edge id.
+  const graph::EdgeFeatureStore& features() const { return *features_; }
   graph::TemporalGraph& graph() { return graph_; }
   const graph::TemporalGraph& graph() const { return graph_; }
   /// The default (all-nodes) state store's mailbox. Local rows equal

@@ -11,8 +11,8 @@ namespace core {
 
 // Thread contract: a Mailbox carries no lock — it is always reached
 // through an exclusively-owned NodeStateStore, whose owner provides the
-// synchronization (AsyncPipeline's model_mu_, or a ShardedEngine shard's
-// state_mu / worker confinement; see util/thread_annotations.h and
+// synchronization (a ShardedEngine shard's state_mu / worker confinement,
+// or a single-threaded caller; see util/thread_annotations.h and
 // docs/static-analysis.md). Adding a mutex here would double-lock every
 // delivery for no added safety.
 

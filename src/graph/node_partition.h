@@ -15,7 +15,8 @@
 // temporal event stream (BuildLocality — LDG-style co-location under a
 // balance cap, built from a warmup prefix or a prior epoch's events).
 // Either way the result is the same immutable index type, so every
-// consumer — router, graph slices, state stores — is partition-agnostic.
+// consumer — engine routing, graph slices, state stores — is
+// partition-agnostic.
 
 #ifndef APAN_GRAPH_NODE_PARTITION_H_
 #define APAN_GRAPH_NODE_PARTITION_H_
@@ -40,6 +41,17 @@ struct NodePartition {
 
   int64_t num_nodes() const {
     return static_cast<int64_t>(owner_of.size());
+  }
+
+  /// Owner shard of `node` — the shard holding its state-store rows
+  /// (mailbox slice + z(t−)) and its adjacency row, and the home shard of
+  /// every event whose source it is. An id outside [0, num_nodes()) is an
+  /// internal invariant violation (CHECK): entry points validate
+  /// caller-supplied ids before routing them.
+  int ShardOf(NodeId node) const {
+    APAN_CHECK_MSG(node >= 0 && node < num_nodes(),
+                   "node id out of range in NodePartition::ShardOf");
+    return owner_of[static_cast<size_t>(node)];
   }
 
   /// Builds from an arbitrary ownership function (must return a shard in

@@ -3,7 +3,7 @@
 // A ShardedTemporalGraph partitions TemporalGraph state by node ownership:
 // slice s holds the time-sorted adjacency rows of the nodes shard s owns,
 // plus the event-log entries shard s homes (an event is homed on its
-// source endpoint's owner, matching serve::ShardRouter::HomeShardOf).
+// source endpoint's owner, NodePartition::ShardOf(event.src)).
 // Batch append is therefore a shard-local operation — each shard appends
 // only its owned rows — and the slices together store each adjacency
 // occurrence exactly once, so summed slice memory is ~1x a monolithic
@@ -55,8 +55,9 @@ namespace graph {
 /// Default owner shard of a node: SplitMix64 scramble then modulo, so
 /// contiguous id ranges spread across shards. This is what
 /// NodePartition::BuildDefault bakes into the shared ownership index that
-/// serve::ShardRouter, the graph slices and the state stores all consume
-/// — the stateless fallback when no locality index has been built.
+/// serve::ShardedEngine's routing, the graph slices and the state stores
+/// all consume — the stateless fallback when no locality index has been
+/// built.
 inline int NodeShardOf(NodeId node, int num_shards) {
   if (num_shards == 1) return 0;
   SplitMix64 hash(static_cast<uint64_t>(node));

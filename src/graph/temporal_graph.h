@@ -12,7 +12,7 @@
 //
 // Thread contract (docs/static-analysis.md): this class carries no lock on
 // purpose — appends and reads are externally synchronized by the owner
-// (AsyncPipeline's worker under model_mu_; trainers single-threaded). The
+// (trainers and sequential replays are single-threaded). The
 // only member shared across unsynchronized threads is query_count_, a
 // relaxed atomic (a diagnostic counter, not a synchronization point).
 // Anything needing a concurrently-written graph goes through

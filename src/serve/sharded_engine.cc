@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cmath>
+#include <limits>
 #include <memory>
 #include <optional>
 #include <set>
@@ -26,7 +28,6 @@ ShardedEngine::ShardedEngine(core::ApanModel* model, Options options)
                      : graph::NodePartition::BuildDefault(
                            model != nullptr ? model->config().num_nodes : 1,
                            options.num_shards)),
-      router_(partition_),
       graph_(partition_),
       transport_(options_.transport ? options_.transport()
                                     : std::make_unique<InProcessTransport>()),
@@ -54,6 +55,7 @@ ShardedEngine::ShardedEngine(core::ApanModel* model, Options options)
   ins_.batches_propagated =
       registry_->GetCounter("serve.batches_propagated", ns);
   ins_.batches_rejected = registry_->GetCounter("serve.batches_rejected");
+  ins_.batches_invalid = registry_->GetCounter("serve.batches_invalid");
   ins_.mails_routed = registry_->GetCounter("serve.mails_routed", ns);
   ins_.mails_cross_shard =
       registry_->GetCounter("serve.mails_cross_shard", ns);
@@ -137,13 +139,48 @@ ShardedEngine::ShardedEngine(core::ApanModel* model, Options options)
 
 ShardedEngine::~ShardedEngine() { Shutdown(); }
 
-Result<ShardedEngine::InferenceResult> ShardedEngine::InferBatch(
-    const std::vector<graph::Event>& events) {
+Status ShardedEngine::ValidateBatch(
+    const std::vector<graph::Event>& events) const {
   if (events.empty()) {
     return Status::InvalidArgument("InferBatch on empty batch");
   }
+  const int64_t num_nodes = partition_->num_nodes();
+  const int64_t num_edges = model_->features().num_edges();
+  double previous = last_timestamp_;
+  for (size_t i = 0; i < events.size(); ++i) {
+    const graph::Event& e = events[i];
+    if (e.src < 0 || e.src >= num_nodes || e.dst < 0 || e.dst >= num_nodes) {
+      return Status::InvalidArgument(internal::StrCat(
+          "event ", i, ": endpoints ", e.src, " -> ", e.dst,
+          " outside [0, ", num_nodes, ")"));
+    }
+    // The asynchronous link reads the feature row of the id the graph
+    // stores: the event's own, or its global ordinal when negative.
+    const int64_t edge =
+        e.edge_id >= 0 ? e.edge_id
+                       : next_ordinal_ + static_cast<int64_t>(i);
+    if (edge >= num_edges) {
+      return Status::InvalidArgument(internal::StrCat(
+          "event ", i, ": edge id ", edge, " outside [0, ", num_edges, ")"));
+    }
+    if (!std::isfinite(e.timestamp) || e.timestamp < previous) {
+      return Status::InvalidArgument(internal::StrCat(
+          "event ", i, ": timestamp ", e.timestamp,
+          " is not finite or precedes ", previous));
+    }
+    previous = e.timestamp;
+  }
+  return Status::OK();
+}
+
+Result<ShardedEngine::InferenceResult> ShardedEngine::InferBatch(
+    const std::vector<graph::Event>& events) {
   util::MutexLock infer_lock(infer_mu_);
   if (shutdown_) return Status::Cancelled("engine is shut down");
+  if (Status valid = ValidateBatch(events); !valid.ok()) {
+    ins_.batches_invalid->Add(1);
+    return valid;
+  }
 
   InferenceResult result;
   Stopwatch watch;
@@ -185,7 +222,7 @@ Result<ShardedEngine::InferenceResult> ShardedEngine::InferBatch(
     std::vector<std::vector<size_t>> shard_unique(
         static_cast<size_t>(num_shards));
     for (size_t u = 0; u < unique_nodes.size(); ++u) {
-      const int s = router_.ShardOf(unique_nodes[u]);
+      const int s = partition_->ShardOf(unique_nodes[u]);
       shard_nodes[static_cast<size_t>(s)].push_back(unique_nodes[u]);
       shard_unique[static_cast<size_t>(s)].push_back(u);
     }
@@ -224,9 +261,8 @@ Result<ShardedEngine::InferenceResult> ShardedEngine::InferBatch(
     };
     // The caller thread encodes one slice itself instead of submitting
     // them all and blocking: at 1 shard the synchronous path pays zero
-    // pool handoffs (the source of a 10x p99 wakeup tail vs the
-    // single-worker pipeline), and at N shards the caller overlaps its
-    // slice with the pool's N-1.
+    // pool handoffs (a handoff per batch was a 10x p99 wakeup tail), and
+    // at N shards the caller overlaps its slice with the pool's N-1.
     std::vector<int> active_shards;
     for (int s = 0; s < num_shards; ++s) {
       if (!shard_nodes[static_cast<size_t>(s)].empty()) {
@@ -256,7 +292,7 @@ Result<ShardedEngine::InferenceResult> ShardedEngine::InferBatch(
     // shard's block is sized once.
     std::vector<size_t> homed_count(static_cast<size_t>(num_shards), 0);
     for (const graph::Event& e : events) {
-      ++homed_count[static_cast<size_t>(router_.HomeShardOf(e))];
+      ++homed_count[static_cast<size_t>(partition_->ShardOf(e.src))];
     }
     for (int s = 0; s < num_shards; ++s) {
       const size_t n = homed_count[static_cast<size_t>(s)];
@@ -268,8 +304,13 @@ Result<ShardedEngine::InferenceResult> ShardedEngine::InferBatch(
     const float* flat = embeddings.data();
     for (size_t i = 0; i < events.size(); ++i) {
       core::RecordRows& block =
-          home_blocks[static_cast<size_t>(router_.HomeShardOf(events[i]))];
+          home_blocks[static_cast<size_t>(partition_->ShardOf(events[i].src))];
       block.events.push_back(events[i]);
+      // φ reads the feature row of the id the graph slices store.
+      if (events[i].edge_id < 0) {
+        block.events.back().edge_id =
+            next_ordinal_ + static_cast<int64_t>(i);
+      }
       block.event_index.push_back(static_cast<int64_t>(i));
       const float* zs = flat + src_rows[i] * d;
       const float* zd = flat + dst_rows[i] * d;
@@ -309,6 +350,7 @@ Result<ShardedEngine::InferenceResult> ShardedEngine::InferBatch(
   ctx->base_ordinal = next_ordinal_;
   next_ordinal_ += static_cast<int64_t>(events.size());
   ctx->events = events;
+  last_timestamp_ = events.back().timestamp;
   ingested_since_start_ = true;
 
   // Graceful degradation (SetShardDown): records homed to a down shard
@@ -1039,14 +1081,14 @@ void ShardedEngine::RouteMail(int from_shard, const BatchJob& job) {
   std::vector<int>& owner = scratch.route_owner;
   owner.clear();
   for (const graph::Event& e : records.events) {
-    owner.push_back(router_.ShardOf(e.src));
-    owner.push_back(router_.ShardOf(e.dst));
+    owner.push_back(partition_->ShardOf(e.src));
+    owner.push_back(partition_->ShardOf(e.dst));
   }
   for (const graph::NodeId node : hop0.node) {
-    owner.push_back(router_.ShardOf(node));
+    owner.push_back(partition_->ShardOf(node));
   }
   for (const graph::NodeId node : partial.node) {
-    owner.push_back(router_.ShardOf(node));
+    owner.push_back(partition_->ShardOf(node));
   }
   const size_t hop0_at = 2 * records.size();
   const size_t partial_at = hop0_at + hop0.rows();
@@ -1414,6 +1456,7 @@ void ShardedEngine::ResetState() {
   }
   next_batch_ = 0;
   next_ordinal_ = 0;
+  last_timestamp_ = -std::numeric_limits<double>::infinity();
   ingested_since_start_ = false;
 }
 
@@ -1521,6 +1564,7 @@ Status ShardedEngine::RestoreShard(int shard, const std::string& path) {
   }
   const int64_t restored_batch = snap->next_batch;
   const int64_t restored_ordinal = snap->next_ordinal;
+  const double restored_timestamp = snap->slice.latest_timestamp;
   BatchJob job;
   job.op = BatchJob::Op::kRestore;
   job.restore = std::move(snap);
@@ -1531,6 +1575,7 @@ Status ShardedEngine::RestoreShard(int shard, const std::string& path) {
   // from this batch watermark to catch up to the present.
   next_batch_ = restored_batch;
   next_ordinal_ = restored_ordinal;
+  last_timestamp_ = restored_timestamp;
   return Status::OK();
 }
 
@@ -1585,6 +1630,7 @@ ShardedEngine::Stats ShardedEngine::stats() const {
   s.batches_ingested = ins_.batches_ingested->Value();
   s.batches_propagated = ins_.batches_propagated->Value();
   s.batches_rejected = ins_.batches_rejected->Value();
+  s.batches_invalid = ins_.batches_invalid->Value();
   s.mails_routed = ins_.mails_routed->Value();
   s.mails_cross_shard = ins_.mails_cross_shard->Value();
   s.mails_dropped = ins_.mails_dropped->Value();

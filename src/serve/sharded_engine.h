@@ -1,15 +1,17 @@
-// The sharded serving engine — AsyncPipeline scaled out across a node
-// partition (paper §3.6: "APAN can be deployed on distributed streaming
-// systems ... mails may arrive out of order", which the mailbox absorbs
-// by keeping each node's slots time-sorted at write).
+// The serving engine — the paper's Figure 2(b) deployment (synchronous
+// encode + decode, asynchronous propagate + append) scaled out across a
+// node partition (paper §3.6: "APAN can be deployed on distributed
+// streaming systems ... mails may arrive out of order", which the mailbox
+// absorbs by keeping each node's slots time-sorted at write). With
+// num_shards = 1 it is exactly the paper's single-worker deployment.
 //
-// A ShardRouter partitions the node space into N shards through a shared
-// graph::NodePartition index (canonical hash by default, or a
-// locality-aware index via Options::partition). Each shard
-// exclusively owns its nodes' mutable state — a core::NodeStateStore
-// holding its mailbox slice and z(t−) rows — AND its slice of the
-// temporal graph (graph::ShardedTemporalGraph: the owned nodes'
-// adjacency rows plus the event-log entries the shard homes). The model
+// A shared graph::NodePartition index (canonical hash by default, or a
+// locality-aware index via Options::partition) splits the node space into
+// N shards. Each shard exclusively owns its nodes' mutable state — a
+// core::NodeStateStore holding its mailbox slice and z(t−) rows — AND
+// its slice of the temporal graph (graph::ShardedTemporalGraph: the
+// owned nodes' adjacency rows plus the event-log entries the shard
+// homes). The model
 // itself is touched only through the const core::ApanWeights view (the
 // weights are replicated, the state is partitioned): the engine never
 // locks or writes a byte of ApanModel's mutable state while running, so
@@ -19,6 +21,8 @@
 // propagation worker. The division of labour per batch:
 //
 //   Synchronous link (InferBatch, what the caller waits for)
+//     · the batch is validated whole before anything mutates (node and
+//       edge ids in range, timestamps finite and non-decreasing);
 //     · the batch's unique nodes are split by owner shard and encoded
 //       concurrently on a thread pool — each encode touches only its
 //       shard's rows, under that shard's state lock;
@@ -47,7 +51,7 @@
 //     · a recipient shard reassembles a batch once partials from all N
 //       shards have arrived, then applies state updates and mail to its
 //       rows in global event order (sequence tags), restoring exactly the
-//       per-node delivery order of the single-worker AsyncPipeline.
+//       per-node delivery order of a sequential replay of the stream.
 //
 // Transport plane: every ShardMessage crosses shards through a pluggable
 // serve::Transport (Options::transport) — synchronous in-process delivery
@@ -64,11 +68,13 @@
 //
 // Determinism: because neighborhood expansion, per-node delivery order and
 // ρ-reduction are reconstructed exactly, the final mailbox timestamps and
-// counts after Flush() are bitwise-identical to the single-worker
-// AsyncPipeline on the same stream (mail *payloads* agree up to
-// floating-point summation order; tests/serve_sharded_test.cc asserts
-// both — and tests/serve_transport_test.cc re-asserts it over a socket
-// transport and under injected delay/reorder/duplication faults).
+// counts after Flush() are bitwise-identical to a thread-free sequential
+// replay of the same stream (EncodeNodes + ScoreLinkLogits +
+// ProcessBatchPostInference per batch); mail *payloads* agree up to
+// floating-point summation order across shards, and bitwise at one shard.
+// tests/serve_sharded_test.cc asserts both, and
+// tests/serve_transport_test.cc re-asserts it over a socket transport and
+// under injected delay/reorder/duplication faults.
 //
 // Deadlock freedom: batch-job inboxes are bounded (back-pressure on the
 // caller), but shard-to-shard messages are unbounded — if message pushes
@@ -84,6 +90,7 @@
 
 #include <atomic>
 #include <deque>
+#include <limits>
 #include <map>
 #include <memory>
 #include <set>
@@ -98,10 +105,8 @@
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "serve/shard_message.h"
-#include "serve/shard_router.h"
 #include "serve/snapshot.h"
 #include "serve/transport.h"
-#include "util/bounded_queue.h"
 #include "util/status.h"
 #include "util/stopwatch.h"
 #include "util/thread_annotations.h"
@@ -109,6 +114,12 @@
 
 namespace apan {
 namespace serve {
+
+/// What InferBatch does when a shard's inbox is at Options::queue_capacity.
+enum class OverflowPolicy {
+  kBlock,       ///< Wait for space (back-pressure; default).
+  kDropNewest,  ///< Refuse the incoming batch whole; its mail is lost.
+};
 
 /// \brief Runs one ApanModel behind an N-shard partition of the node
 /// space: per-shard mailbox/memory/graph-slice ownership, per-shard
@@ -118,8 +129,8 @@ class ShardedEngine {
  public:
   struct Options {
     int num_shards = 4;
-    /// Shared node-ownership index for ALL partitioned planes (router,
-    /// graph slices, state stores). Null means the canonical hash
+    /// Shared node-ownership index for ALL partitioned planes (engine
+    /// routing, graph slices, state stores). Null means the canonical hash
     /// (graph::NodePartition::BuildDefault). Pass a
     /// NodePartition::BuildLocality index — built from a warmup prefix or
     /// a prior epoch's events — to keep k-hop propagation shard-local.
@@ -131,10 +142,9 @@ class ShardedEngine {
     /// Maximum in-flight batches per shard before InferBatch applies the
     /// overflow policy.
     size_t queue_capacity = 256;
-    /// kBlock waits for space. Any drop policy drops the *incoming* batch
-    /// whole (a partially enqueued batch would wedge the cross-shard
-    /// reassembly barrier); kDropOldest degrades to dropping the incoming
-    /// batch for the same reason.
+    /// kBlock waits for space. kDropNewest drops the *incoming* batch
+    /// whole: a partially enqueued batch would wedge the cross-shard
+    /// reassembly barrier.
     OverflowPolicy overflow = OverflowPolicy::kBlock;
     /// Threads encoding shard slices on the synchronous link; 0 means one
     /// per shard.
@@ -177,8 +187,18 @@ class ShardedEngine {
 
   /// \brief Scores a batch of interactions on the synchronous link
   /// (shard-parallel encoding) and enqueues the per-shard asynchronous
-  /// work. Events must arrive in non-decreasing time order across calls;
-  /// concurrent callers are serialized. \return Cancelled after Shutdown.
+  /// work. Concurrent callers are serialized.
+  ///
+  /// Ingress contract, checked over the whole batch before anything
+  /// mutates: every src/dst is a node id in [0, num_nodes); every edge id
+  /// the asynchronous link resolves — the event's own id, or its global
+  /// ordinal when negative — indexes the model's edge features; every
+  /// timestamp is finite and no earlier than the one before it, within the
+  /// batch and across batches (ResetState rewinds the bound, RestoreShard
+  /// adopts the restored slice's newest time).
+  /// \return InvalidArgument (counted in Stats::batches_invalid, engine
+  ///   unchanged) for an empty batch or one breaking the contract;
+  ///   Cancelled after Shutdown.
   Result<InferenceResult> InferBatch(const std::vector<graph::Event>& events)
       APAN_EXCLUDES(infer_mu_, flush_mu_);
 
@@ -249,6 +269,8 @@ class ShardedEngine {
 
   struct Stats {
     int64_t batches_ingested = 0;
+    /// Batches refused by InferBatch's ingress check (InvalidArgument).
+    int64_t batches_invalid = 0;
     /// Batches fully applied on every shard.
     int64_t batches_propagated = 0;
     /// Batches refused whole by a drop overflow policy (their records are
@@ -278,7 +300,8 @@ class ShardedEngine {
   };
   Stats stats() const;
 
-  const ShardRouter& router() const { return router_; }
+  /// The node-ownership index shared by every partitioned plane.
+  const graph::NodePartition& router() const { return *partition_; }
   /// The transport the engine is running over ("inproc", "uds", ...).
   const char* transport_name() const { return transport_->name(); }
   /// The engine-owned shard-local graph slices (quiescent inspection:
@@ -286,7 +309,7 @@ class ShardedEngine {
   const graph::ShardedTemporalGraph& sharded_graph() const { return graph_; }
   /// One shard's mutable node state — its mailbox slice + z(t−) rows
   /// (quiescent inspection: call after Flush). Stitching the per-shard
-  /// stores by router ownership reconstructs the monolithic state.
+  /// stores by router() ownership reconstructs the monolithic state.
   /// Analysis opt-out: the store pointee is guarded by Shard::state_mu,
   /// but this accessor's contract is quiescence (post-Flush, no batch in
   /// flight), not a lock — taking state_mu here would hand the caller an
@@ -404,7 +427,7 @@ class ShardedEngine {
     /// The pointer itself is set once at construction and never reseated.
     util::Mutex state_mu;
     /// This shard's mutable node state: its mailbox slice + z(t−) rows,
-    /// dense over the nodes the router assigns to it. Exclusively owned —
+    /// dense over the nodes the partition assigns to it. Exclusively owned —
     /// no other shard (and not the model) ever touches these bytes.
     std::unique_ptr<core::NodeStateStore> store APAN_PT_GUARDED_BY(state_mu);
 
@@ -451,6 +474,10 @@ class ShardedEngine {
     std::thread worker;
   };
 
+  /// InferBatch's ingress check (see its contract): one pass over the
+  /// batch, no allocation unless it fails.
+  Status ValidateBatch(const std::vector<graph::Event>& events) const
+      APAN_REQUIRES(infer_mu_);
   void WorkerLoop(int shard_id) APAN_EXCLUDES(flush_mu_);
   void ProcessJob(int shard_id, BatchJob job) APAN_EXCLUDES(flush_mu_);
   /// Worker-side half of ResetState: runs on the shard's own thread so
@@ -519,13 +546,12 @@ class ShardedEngine {
   /// all mutable serve state lives in the per-shard stores above.
   const core::ApanModel* model_;
   Options options_;
-  /// The ONE ownership index of this engine, shared by the router, the
-  /// graph slices and every per-shard NodeStateStore (element-identical
+  /// The ONE ownership index of this engine, shared by engine routing,
+  /// the graph slices and every per-shard NodeStateStore (element-identical
   /// maps, stored once — ~8 bytes/node saved vs per-plane copies).
   /// Options::partition, or the canonical hash when none was given.
-  /// Declared before router_/graph_: both consume it at construction.
+  /// Declared before graph_, which consumes it at construction.
   std::shared_ptr<const graph::NodePartition> partition_;
-  ShardRouter router_;
   graph::ShardedTemporalGraph graph_;
   std::unique_ptr<Transport> transport_;
   ThreadPool encode_pool_;
@@ -549,6 +575,11 @@ class ShardedEngine {
   bool shutdown_ APAN_GUARDED_BY(infer_mu_) = false;
   int64_t next_batch_ APAN_GUARDED_BY(infer_mu_) = 0;
   int64_t next_ordinal_ APAN_GUARDED_BY(infer_mu_) = 0;  ///< Events accepted.
+  /// Newest timestamp ingested so far: InferBatch's lower bound on the
+  /// next batch's times, and exactly every slice's latest_timestamp (each
+  /// slice records every ingested event's time, owned or not).
+  double last_timestamp_ APAN_GUARDED_BY(infer_mu_) =
+      -std::numeric_limits<double>::infinity();
   /// False until the first accepted batch. Gates RestoreShard under a
   /// duplicating transport: restoring a virgin engine rewinds nothing, so
   /// there is no pre-restore frame a rewound replay tag could re-accept —
@@ -579,6 +610,7 @@ class ShardedEngine {
     obs::Counter* batches_ingested = nullptr;   ///< 1 cell (caller thread)
     obs::Counter* batches_propagated = nullptr;  ///< cell = completing shard
     obs::Counter* batches_rejected = nullptr;   ///< 1 cell
+    obs::Counter* batches_invalid = nullptr;    ///< 1 cell (caller thread)
     obs::Counter* mails_routed = nullptr;       ///< cell = sender shard
     obs::Counter* mails_cross_shard = nullptr;  ///< cell = sender shard
     obs::Counter* mails_dropped = nullptr;      ///< 1 cell

@@ -6,9 +6,9 @@
 // ResidualLayerNorm) operate on raw float buffers. One implementation is
 // selected per process at first use — AVX2 on x86-64 CPUs that support
 // it, NEON on aarch64, a portable blocked-scalar fallback otherwise — so
-// every engine in the process (AsyncPipeline, ShardedEngine, trainer
-// eval) computes through the same code path and stays bitwise
-// reproducible run-to-run and engine-to-engine.
+// every caller in the process (ShardedEngine at any shard count, the
+// sequential replay, trainer eval) computes through the same code path and
+// stays bitwise reproducible run-to-run and caller-to-caller.
 //
 // Determinism contract — per kernel subset:
 //

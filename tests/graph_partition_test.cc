@@ -51,6 +51,16 @@ TEST(NodePartitionTest, BuildDefaultMatchesHash) {
   }
 }
 
+TEST(NodePartitionTest, HashSpreadsContiguousIdsAcrossShards) {
+  auto p = NodePartition::BuildDefault(1024, 4);
+  for (const int64_t c : p->owned_count) {
+    // A hashed partition of 1024 contiguous ids should not starve or
+    // swamp any shard (256 expected; allow wide slack).
+    EXPECT_GT(c, 128);
+    EXPECT_LT(c, 384);
+  }
+}
+
 TEST(NodePartitionTest, LocalityCoLocatesInteractionClusters) {
   // Two disjoint interaction cliques over 16 nodes. Locality must put
   // each clique on one shard, making every observed edge shard-local —

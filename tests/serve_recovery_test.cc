@@ -14,7 +14,6 @@
 #include <vector>
 
 #include "data/synthetic.h"
-#include "serve/async_pipeline.h"
 #include "serve/sharded_engine.h"
 #include "serve/snapshot.h"
 #include "serve/transport.h"
@@ -26,6 +25,7 @@ namespace serve {
 namespace {
 
 using testutil::ExpectStitchedMailboxEqual;
+using testutil::SequentialOracle;
 
 struct Fixture {
   Fixture()
@@ -48,17 +48,13 @@ struct Fixture {
   core::ApanConfig config;
 };
 
-/// Reference run: the single-worker pipeline over the first `n` events.
-std::unique_ptr<core::ApanModel> RunPipeline(const Fixture& f, size_t n,
-                                             size_t batch) {
-  auto model = std::make_unique<core::ApanModel>(f.config,
-                                                 &f.dataset.features, 7);
-  AsyncPipeline pipeline(model.get(), {});
+/// Reference run: the sequential oracle over the first `n` events.
+SequentialOracle RunOracle(const Fixture& f, size_t n, size_t batch) {
+  SequentialOracle oracle(f.config, &f.dataset.features, 7);
   for (size_t lo = 0; lo + batch <= n; lo += batch) {
-    EXPECT_TRUE(pipeline.InferBatch(f.BatchEvents(lo, lo + batch)).ok());
+    oracle.Step(f.BatchEvents(lo, lo + batch));
   }
-  pipeline.Flush();
-  return model;
+  return oracle;
 }
 
 struct EngineRun {
@@ -111,8 +107,8 @@ std::string SnapPath(const std::string& tag, uint64_t seed, int shard) {
 // checkpointed at a flushed boundary, and dies (destroyed outright — the
 // snapshot files are all that survive). A brand-new engine B, with its
 // own faulty transport on a different seed, restores every shard and
-// replays the tail. Its stitched mailbox must be bitwise identical to a
-// single-worker run that saw the whole stream and never crashed.
+// replays the tail. Its stitched mailbox must be bitwise identical to the
+// sequential oracle run over the whole stream, which never crashed.
 
 void KillAndRejoinSoak(int32_t hops, TransportKind inner,
                        const std::string& tag, uint64_t seed_base) {
@@ -124,7 +120,7 @@ void KillAndRejoinSoak(int32_t hops, TransportKind inner,
   f.config.propagation_hops = hops;
   const size_t events = 160, cut = 80, batch = 40;
   const int num_shards = 4;
-  const auto reference = RunPipeline(f, events, batch);
+  const auto oracle = RunOracle(f, events, batch);
   for (uint64_t seed = seed_base; seed < seed_base + 10; ++seed) {
     SCOPED_TRACE(testing::Message() << "seed " << seed);
     {
@@ -145,7 +141,8 @@ void KillAndRejoinSoak(int32_t hops, TransportKind inner,
     }
     Stream(f, *after.engine, cut, events, batch);
     after.engine->Flush();
-    ExpectStitchedMailboxEqual(*after.engine, *reference, f.config.num_nodes);
+    ExpectStitchedMailboxEqual(*after.engine, oracle.model(),
+                               f.config.num_nodes);
   }
 }
 
@@ -180,8 +177,8 @@ TEST(RestoreGuardTest, RestoreRejectsWrongShardAndMissingFile) {
   EXPECT_FALSE(
       run.engine->RestoreShard(0, testing::TempDir() + "/no_such.apsn").ok());
   // And the engine is still intact: the refused restores changed nothing.
-  const auto reference = RunPipeline(f, 80, 40);
-  ExpectStitchedMailboxEqual(*run.engine, *reference, f.config.num_nodes);
+  const auto oracle = RunOracle(f, 80, 40);
+  ExpectStitchedMailboxEqual(*run.engine, oracle.model(), f.config.num_nodes);
 }
 
 TEST(RestoreGuardTest, SnapshotToUnwritablePathFailsCleanly) {
@@ -222,7 +219,7 @@ TEST(LaneRecoveryTest, KilledLaneReconnectsAndStaysBitwise) {
   }
   Fixture f;
   const size_t events = 240, batch = 40;
-  const auto reference = RunPipeline(f, events, batch);
+  const auto oracle = RunOracle(f, events, batch);
   UnixSocketTransport* raw = nullptr;
   TransportFactory factory = [&raw]() -> std::unique_ptr<Transport> {
     auto transport = std::make_unique<UnixSocketTransport>();
@@ -239,7 +236,7 @@ TEST(LaneRecoveryTest, KilledLaneReconnectsAndStaysBitwise) {
   run.engine->Flush();
   // The killed lanes were rebuilt and the failed frames re-sent whole:
   // nothing was lost, so the mailbox still matches the reference exactly.
-  ExpectStitchedMailboxEqual(*run.engine, *reference, f.config.num_nodes);
+  ExpectStitchedMailboxEqual(*run.engine, oracle.model(), f.config.num_nodes);
   const int cells = 4 * 4;
   EXPECT_GE(
       run.engine->registry()->GetCounter("transport.lane_reconnects", cells)
@@ -253,7 +250,7 @@ TEST(LaneRecoveryTest, KilledLaneReconnectsAndStaysBitwise) {
 TEST(DegradationTest, DownShardShedsWithoutBlockingThenRecoversByReset) {
   Fixture f;
   const size_t events = 200, batch = 40;
-  const auto reference = RunPipeline(f, events, batch);
+  const auto oracle = RunOracle(f, events, batch);
   auto run = MakeEngine(f, MakeTransportFactory(TransportKind::kInProcess));
   Stream(f, *run.engine, 0, 80, batch);
   run.engine->Flush();
@@ -272,7 +269,7 @@ TEST(DegradationTest, DownShardShedsWithoutBlockingThenRecoversByReset) {
   run.engine->ResetState();
   Stream(f, *run.engine, 0, events, batch);
   run.engine->Flush();
-  ExpectStitchedMailboxEqual(*run.engine, *reference, f.config.num_nodes);
+  ExpectStitchedMailboxEqual(*run.engine, oracle.model(), f.config.num_nodes);
 }
 
 TEST(DegradationTest, DownShardShedsOverUnixSocket) {

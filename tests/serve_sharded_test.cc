@@ -2,13 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cmath>
-#include <numeric>
+#include <functional>
+#include <limits>
 #include <thread>
 
 #include "data/synthetic.h"
-#include "serve/async_pipeline.h"
 #include "serve_state_util.h"
 
 namespace apan {
@@ -17,6 +18,8 @@ namespace {
 
 using testutil::ExpectModelStateUntouched;
 using testutil::ExpectStitchedMailboxEqual;
+using testutil::ExpectStitchedPayloadsNear;
+using testutil::SequentialOracle;
 
 struct Fixture {
   Fixture()
@@ -38,70 +41,6 @@ struct Fixture {
   data::Dataset dataset;
   core::ApanConfig config;
 };
-
-// ---- ShardRouter -----------------------------------------------------------
-
-TEST(ShardRouterTest, DeterministicAndInRange) {
-  ShardRouter router(4, 1000);
-  for (graph::NodeId v = 0; v < 1000; ++v) {
-    const int s = router.ShardOf(v);
-    EXPECT_GE(s, 0);
-    EXPECT_LT(s, 4);
-    EXPECT_EQ(s, router.ShardOf(v));  // pure function of (node, shards)
-  }
-}
-
-TEST(ShardRouterTest, SpreadsContiguousIdsAcrossShards) {
-  ShardRouter router(4, 1024);
-  const std::vector<int64_t> counts = router.OwnedNodeCounts();
-  ASSERT_EQ(counts.size(), 4u);
-  EXPECT_EQ(std::accumulate(counts.begin(), counts.end(), int64_t{0}), 1024);
-  for (const int64_t c : counts) {
-    // A hashed partition of 1024 contiguous ids should not starve or
-    // swamp any shard (256 expected; allow wide slack).
-    EXPECT_GT(c, 128);
-    EXPECT_LT(c, 384);
-  }
-}
-
-TEST(ShardRouterTest, PartitionNodesIsStable) {
-  ShardRouter router(3, 100);
-  const std::vector<graph::NodeId> nodes = {7, 3, 99, 7, 42, 3};
-  const auto parts = router.PartitionNodes(nodes);
-  size_t total = 0;
-  for (int s = 0; s < 3; ++s) {
-    total += parts[static_cast<size_t>(s)].size();
-    // Every node landed on its owner, input order preserved per shard.
-    graph::NodeId prev_pos = -1;
-    for (const graph::NodeId v : parts[static_cast<size_t>(s)]) {
-      EXPECT_EQ(router.ShardOf(v), s);
-      (void)prev_pos;
-    }
-  }
-  EXPECT_EQ(total, nodes.size());
-}
-
-TEST(ShardRouterTest, SingleShardOwnsEverything) {
-  ShardRouter router(1, 50);
-  for (graph::NodeId v = 0; v < 50; ++v) EXPECT_EQ(router.ShardOf(v), 0);
-}
-
-TEST(ShardRouterTest, PartitionEventsByHomeShard) {
-  ShardRouter router(2, 100);
-  std::vector<graph::Event> events;
-  for (int i = 0; i < 20; ++i) {
-    events.push_back({i % 100, (i * 7 + 1) % 100, static_cast<double>(i), i});
-  }
-  const auto parts = router.PartitionEvents(events);
-  size_t total = 0;
-  for (int s = 0; s < 2; ++s) {
-    for (const int64_t idx : parts[static_cast<size_t>(s)]) {
-      EXPECT_EQ(router.HomeShardOf(events[static_cast<size_t>(idx)]), s);
-    }
-    total += parts[static_cast<size_t>(s)].size();
-  }
-  EXPECT_EQ(total, events.size());
-}
 
 // ---- ShardedEngine: functional ---------------------------------------------
 
@@ -126,31 +65,32 @@ TEST(ShardedEngineTest, ScoresEveryEvent) {
   EXPECT_EQ(stats.mails_dropped, 0);
 }
 
-// The tentpole determinism claim: cross-shard mail arrives out of order by
+// The determinism claim: cross-shard mail arrives out of order by
 // construction, yet after Flush() the engine's per-shard stores, stitched
 // by ownership, hold mailbox timestamps and counts bitwise-identical to
-// the single-worker AsyncPipeline on the same stream (sequence-tagged
+// the thread-free sequential oracle on the same stream (sequence-tagged
 // replay restores per-node delivery order, and ρ is finalized over the
-// whole batch after merging every shard's partials). The stitched helper
-// lives in serve_state_util.h, shared with the transport + state tests.
+// whole batch after merging every shard's partials). A free-running
+// engine encodes against mailboxes that in-flight batches have not yet
+// reached, so only counts and timestamps are stream-determined here;
+// the flush-stepped tests below also compare scores and payloads.
 
-TEST(ShardedEngineTest, MatchesAsyncPipelineMailboxBitwise) {
+/// Free-running: no flush between batches, so cross-shard interleavings
+/// genuinely occur while the stream is in flight.
+void ExpectFreeRunningMatchesOracle(int num_shards, int hops,
+                                    size_t num_events) {
   Fixture f;
-  core::ApanModel piped(f.config, &f.dataset.features, 7);
+  f.config.propagation_hops = hops;
+  SequentialOracle oracle(f.config, &f.dataset.features, 7);
   core::ApanModel sharded(f.config, &f.dataset.features, 7);
-  AsyncPipeline pipeline(&piped, {});
   ShardedEngine::Options options;
-  options.num_shards = 4;
+  options.num_shards = num_shards;
   ShardedEngine engine(&sharded, options);
-
-  // Free-running: no flush between batches, so cross-shard interleavings
-  // genuinely occur while the stream is in flight.
-  for (size_t lo = 0; lo < 400; lo += 50) {
+  for (size_t lo = 0; lo < num_events; lo += 50) {
     auto events = f.BatchEvents(lo, lo + 50);
-    ASSERT_TRUE(pipeline.InferBatch(events).ok());
+    oracle.Step(events);
     ASSERT_TRUE(engine.InferBatch(events).ok());
   }
-  pipeline.Flush();
   engine.Flush();
 
   // The engine serves out of its own shard-local graph slices AND state
@@ -158,133 +98,121 @@ TEST(ShardedEngineTest, MatchesAsyncPipelineMailboxBitwise) {
   // allocated default store was never even materialized (weights are
   // accessed const-only — the strongest form of "untouched").
   EXPECT_EQ(sharded.graph().num_events(), 0);
-  EXPECT_EQ(piped.graph().num_events(), engine.sharded_graph().num_events());
+  EXPECT_EQ(oracle.model().graph().num_events(),
+            engine.sharded_graph().num_events());
   EXPECT_FALSE(sharded.state_store_allocated())
       << "engine materialized the model's state plane";
   ExpectModelStateUntouched(sharded, f.config.num_nodes);
-  ExpectStitchedMailboxEqual(engine, piped, f.config.num_nodes,
+  ExpectStitchedMailboxEqual(engine, oracle.model(), f.config.num_nodes,
                              /*min_nonempty=*/20);
-
-  // Per-shard watermarks replaced the global epoch gate: after Flush every
-  // slice has absorbed every accepted batch.
-  for (int s = 0; s < 4; ++s) {
-    EXPECT_EQ(engine.sharded_graph().watermark(s), 8) << "shard " << s;
-  }
 
   // Summed slice memory is ~1x the monolithic graph (each adjacency
   // occurrence lives in exactly one slice; entries carry one extra
   // ordinal), not num_shards x.
   const double slice_bytes =
       static_cast<double>(engine.sharded_graph().MemoryBytes());
-  const double mono_bytes = static_cast<double>(piped.graph().MemoryBytes());
+  const double mono_bytes =
+      static_cast<double>(oracle.model().graph().MemoryBytes());
   EXPECT_GT(slice_bytes, 0.9 * mono_bytes);
   EXPECT_LT(slice_bytes, 1.5 * mono_bytes);
 
+  // Per-shard watermarks replaced the global epoch gate: after Flush every
+  // slice has absorbed every accepted batch.
+  const auto batches = static_cast<int64_t>(num_events / 50);
+  for (int s = 0; s < num_shards; ++s) {
+    EXPECT_EQ(engine.sharded_graph().watermark(s), batches) << "shard " << s;
+  }
   const auto stats = engine.stats();
-  EXPECT_EQ(stats.batches_ingested, 8);
-  EXPECT_EQ(stats.batches_propagated, 8);
+  EXPECT_EQ(stats.batches_ingested, batches);
+  EXPECT_EQ(stats.batches_propagated, batches);
   EXPECT_EQ(stats.batches_rejected, 0);
-  EXPECT_GT(stats.mails_cross_shard, 0) << "4 shards must exchange mail";
-  // Even 1-hop expansion crosses slices: an event's dst endpoint is
-  // foreign for ~3/4 of events under a 4-way hash partition.
-  EXPECT_GT(stats.frontier_requests, 0) << "expansion must cross slices";
-  EXPECT_GT(stats.frontier_nodes_forwarded, 0);
+  EXPECT_EQ(stats.batches_invalid, 0);
+  if (num_shards == 1) {
+    EXPECT_EQ(stats.mails_cross_shard, 0);
+    EXPECT_EQ(stats.frontier_requests, 0);
+  } else {
+    EXPECT_GT(stats.mails_cross_shard, 0) << "shards must exchange mail";
+    // Even 1-hop expansion crosses slices: an event's dst endpoint is
+    // foreign for most events under a hash partition.
+    EXPECT_GT(stats.frontier_requests, 0) << "expansion must cross slices";
+    EXPECT_GT(stats.frontier_nodes_forwarded, 0);
+  }
 }
 
-TEST(ShardedEngineTest, MatchesAsyncPipelineBitwiseTwoHops) {
+TEST(ShardedEngineTest, MatchesOracleMailboxBitwise) {
+  ExpectFreeRunningMatchesOracle(/*num_shards=*/4, /*hops=*/1, 400);
+}
+
+TEST(ShardedEngineTest, MatchesOracleBitwiseTwoHops) {
   // Two-hop fan-out: hop-2 frontiers routinely land on nodes owned by a
   // third shard, so the frontier-forwarding protocol (request → owner
   // slice sample → response, slot-tag reassembly) is exercised across
-  // chained foreign hops — and must still reproduce the single-worker
-  // mailbox bitwise.
-  Fixture f;
-  f.config.propagation_hops = 2;
-  core::ApanModel piped(f.config, &f.dataset.features, 21);
-  core::ApanModel sharded(f.config, &f.dataset.features, 21);
-  AsyncPipeline pipeline(&piped, {});
-  ShardedEngine::Options options;
-  options.num_shards = 4;
-  ShardedEngine engine(&sharded, options);
-
-  for (size_t lo = 0; lo < 300; lo += 50) {
-    auto events = f.BatchEvents(lo, lo + 50);
-    ASSERT_TRUE(pipeline.InferBatch(events).ok());
-    ASSERT_TRUE(engine.InferBatch(events).ok());
-  }
-  pipeline.Flush();
-  engine.Flush();
-
-  ExpectStitchedMailboxEqual(engine, piped, f.config.num_nodes,
-                             /*min_nonempty=*/20);
-  const auto stats = engine.stats();
-  EXPECT_GT(stats.frontier_nodes_forwarded, 0);
+  // chained foreign hops.
+  ExpectFreeRunningMatchesOracle(/*num_shards=*/4, /*hops=*/2, 300);
 }
 
-TEST(ShardedEngineTest, SingleShardMatchesAsyncPipeline) {
-  Fixture f;
-  core::ApanModel piped(f.config, &f.dataset.features, 11);
-  core::ApanModel sharded(f.config, &f.dataset.features, 11);
-  AsyncPipeline pipeline(&piped, {});
-  ShardedEngine::Options options;
-  options.num_shards = 1;
-  ShardedEngine engine(&sharded, options);
-  for (size_t lo = 0; lo < 200; lo += 50) {
-    auto events = f.BatchEvents(lo, lo + 50);
-    ASSERT_TRUE(pipeline.InferBatch(events).ok());
-    ASSERT_TRUE(engine.InferBatch(events).ok());
-  }
-  pipeline.Flush();
-  engine.Flush();
-  ExpectStitchedMailboxEqual(engine, piped, f.config.num_nodes,
-                             /*min_nonempty=*/20);
-  EXPECT_EQ(engine.stats().mails_cross_shard, 0);
-}
-
-TEST(ShardedEngineTest, FlushSteppedPayloadsAndScoresTrackPipeline) {
-  // With a flush between batches both engines encode from fully-settled
-  // state, so scores and mail payloads agree up to floating-point
-  // summation order in the cross-shard ρ-merge.
-  Fixture f;
-  f.config.mailbox_slots = 8;
-  core::ApanModel piped(f.config, &f.dataset.features, 3);
-  core::ApanModel sharded(f.config, &f.dataset.features, 3);
-  AsyncPipeline pipeline(&piped, {});
-  ShardedEngine::Options options;
-  options.num_shards = 4;
-  ShardedEngine engine(&sharded, options);
-
-  double score_gap = 0.0;
-  size_t scored = 0;
-  for (size_t lo = 0; lo < 300; lo += 50) {
-    auto events = f.BatchEvents(lo, lo + 50);
-    auto a = pipeline.InferBatch(events);
-    auto b = engine.InferBatch(events);
-    ASSERT_TRUE(a.ok() && b.ok());
-    for (size_t i = 0; i < a->scores.size(); ++i) {
-      score_gap += std::abs(a->scores[i] - b->scores[i]);
-      ++scored;
+TEST(ShardedEngineTest, FreeRunningMatchesOracleAcrossShardCounts) {
+  for (const int shards : {1, 2}) {
+    for (const int hops : {1, 2}) {
+      SCOPED_TRACE(testing::Message() << shards << " shards, " << hops
+                                      << " hops");
+      ExpectFreeRunningMatchesOracle(shards, hops, 300);
     }
-    pipeline.Flush();
+  }
+}
+
+/// Flush-stepped: a Flush between batches makes every encode read fully
+/// settled state, exactly as the oracle does, so scores and raw mail
+/// payloads are comparable too. Returns the largest score gap.
+double RunFlushStepped(const Fixture& f, int num_shards, float tolerance) {
+  SequentialOracle oracle(f.config, &f.dataset.features, 3);
+  core::ApanModel sharded(f.config, &f.dataset.features, 3);
+  ShardedEngine::Options options;
+  options.num_shards = num_shards;
+  ShardedEngine engine(&sharded, options);
+  double max_gap = 0.0;
+  for (size_t lo = 0; lo < 600; lo += 50) {
+    auto events = f.BatchEvents(lo, lo + 50);
+    const std::vector<float> expected = oracle.Step(events);
+    auto got = engine.InferBatch(events);
+    EXPECT_TRUE(got.ok()) << got.status();
+    if (!got.ok()) return max_gap;
+    EXPECT_EQ(got->scores.size(), expected.size());
+    for (size_t i = 0; i < expected.size(); ++i) {
+      max_gap = std::max(
+          max_gap, static_cast<double>(std::abs(got->scores[i] - expected[i])));
+    }
     engine.Flush();
   }
-  EXPECT_LT(score_gap / static_cast<double>(scored), 1e-3);
+  ExpectStitchedMailboxEqual(engine, oracle.model(), f.config.num_nodes,
+                             /*min_nonempty=*/20);
+  ExpectStitchedPayloadsNear(engine, oracle.model(), f.config.num_nodes,
+                             tolerance);
+  return max_gap;
+}
 
-  for (graph::NodeId v = 0; v < f.config.num_nodes; ++v) {
-    // Stitch: v's mail lives in its owner shard's store. The ring
-    // sequence per node is identical to the monolithic mailbox, so even
-    // the raw storage order matches slot for slot.
-    const core::NodeStateStore& store =
-        engine.state_store(engine.router().ShardOf(v));
-    const int64_t count = piped.mailbox().ValidCount(v);
-    ASSERT_EQ(count, store.ValidCount(v)) << "node " << v;
-    for (int64_t slot = 0; slot < count; ++slot) {
-      const auto a = piped.mailbox().RawSlot(v, slot);
-      const auto b = store.RawSlot(v, slot);
-      for (size_t i = 0; i < a.size(); ++i) {
-        ASSERT_NEAR(a[i], b[i], 1e-3f)
-            << "node " << v << " slot " << slot << " dim " << i;
-      }
-    }
+TEST(ShardedEngineTest, SingleShardFlushSteppedMatchesOracleBitwise) {
+  // One shard is the paper's single-worker deployment: every reduction
+  // runs in the oracle's order, so scores, raw payloads, counts and
+  // timestamps agree with no tolerance.
+  for (const int hops : {1, 2}) {
+    SCOPED_TRACE(testing::Message() << hops << " hops");
+    Fixture f;
+    f.config.mailbox_slots = 8;
+    f.config.propagation_hops = hops;
+    EXPECT_EQ(RunFlushStepped(f, /*num_shards=*/1, /*tolerance=*/0.0f), 0.0);
+  }
+}
+
+TEST(ShardedEngineTest, FlushSteppedPayloadsAndScoresTrackOracle) {
+  // Across shards, ρ sums of one recipient are merged from several
+  // senders, so payloads and scores agree up to floating-point summation
+  // order.
+  for (const int shards : {2, 4}) {
+    SCOPED_TRACE(testing::Message() << shards << " shards");
+    Fixture f;
+    f.config.mailbox_slots = 8;
+    EXPECT_LT(RunFlushStepped(f, shards, /*tolerance=*/1e-3f), 1e-3);
   }
 }
 
@@ -336,13 +264,9 @@ TEST(ShardedEngineTest, ShutdownDrainsAcceptedWork) {
   // batch's mail (the engine drains before stopping the workers).
   Fixture f;
   core::ApanModel drained(f.config, &f.dataset.features, 9);
-  core::ApanModel reference(f.config, &f.dataset.features, 9);
-  {
-    AsyncPipeline pipeline(&reference, {});
-    for (size_t lo = 0; lo < 200; lo += 50) {
-      ASSERT_TRUE(pipeline.InferBatch(f.BatchEvents(lo, lo + 50)).ok());
-    }
-    pipeline.Flush();
+  SequentialOracle oracle(f.config, &f.dataset.features, 9);
+  for (size_t lo = 0; lo < 200; lo += 50) {
+    oracle.Step(f.BatchEvents(lo, lo + 50));
   }
   ShardedEngine::Options options;
   options.num_shards = 4;
@@ -353,7 +277,7 @@ TEST(ShardedEngineTest, ShutdownDrainsAcceptedWork) {
   engine.Shutdown();  // no Flush first
   // The stores outlive Shutdown (they die with the engine), so drained
   // state is still inspectable here.
-  ExpectStitchedMailboxEqual(engine, reference, f.config.num_nodes,
+  ExpectStitchedMailboxEqual(engine, oracle.model(), f.config.num_nodes,
                              /*min_nonempty=*/20);
 }
 
@@ -431,8 +355,8 @@ TEST(ShardedEngineTest, ConcurrentFlushInferShutdownStress) {
 }
 
 TEST(ShardedEngineTest, ZeroQueueCapacityIsClamped) {
-  // capacity = 0 must behave like capacity = 1 (as BoundedQueue does),
-  // not wedge kBlock back-pressure forever.
+  // capacity = 0 must behave like capacity = 1, not wedge kBlock
+  // back-pressure forever.
   Fixture f;
   core::ApanModel model(f.config, &f.dataset.features, 6);
   ShardedEngine::Options options;
@@ -450,95 +374,115 @@ TEST(ShardedEngineTest, EmptyBatchRejected) {
   core::ApanModel model(f.config, &f.dataset.features, 6);
   ShardedEngine engine(&model, {});
   EXPECT_TRUE(engine.InferBatch({}).status().IsInvalidArgument());
+  EXPECT_EQ(engine.stats().batches_invalid, 1);
 }
 
-// ---- AsyncPipeline satellites ----------------------------------------------
+// ---- ShardedEngine: ingress validation --------------------------------------
 
-TEST(AsyncPipelineShutdownTest, ShutdownDeliversHeldBackMail) {
-  // With heavy out-of-order injection, Shutdown without a Flush must not
-  // lose the held-back mail: final mail counts match a delay-free run.
+/// Feeds a 2-shard engine one valid batch, then a copy of the next batch
+/// corrupted by `corrupt`: the corrupt batch must come back
+/// InvalidArgument with nothing ingested, and the same batch uncorrupted
+/// must then be served and flushed exactly as the oracle serves it.
+using Corruption =
+    std::function<void(const Fixture&, std::vector<graph::Event>*)>;
+
+void ExpectCorruptBatchRejected(const Corruption& corrupt) {
   Fixture f;
-  f.config.mailbox_slots = 64;  // no eviction in this stream
-  core::ApanModel delayed(f.config, &f.dataset.features, 4);
-  core::ApanModel ordered(f.config, &f.dataset.features, 4);
-  {
-    AsyncPipeline::Options options;
-    options.delay_fraction = 0.9;
-    AsyncPipeline pipeline(&delayed, options);
-    for (size_t lo = 0; lo < 200; lo += 50) {
-      ASSERT_TRUE(pipeline.InferBatch(f.BatchEvents(lo, lo + 50)).ok());
-    }
-    pipeline.Shutdown();  // no Flush: held-back mail must still land
-  }
-  {
-    AsyncPipeline pipeline(&ordered, {});
-    for (size_t lo = 0; lo < 200; lo += 50) {
-      ASSERT_TRUE(pipeline.InferBatch(f.BatchEvents(lo, lo + 50)).ok());
-    }
-    pipeline.Flush();
-  }
-  for (graph::NodeId v = 0; v < f.config.num_nodes; ++v) {
-    ASSERT_EQ(delayed.mailbox().ValidCount(v), ordered.mailbox().ValidCount(v))
-        << "node " << v;
-  }
+  SequentialOracle oracle(f.config, &f.dataset.features, 12);
+  core::ApanModel model(f.config, &f.dataset.features, 12);
+  ShardedEngine::Options options;
+  options.num_shards = 2;
+  ShardedEngine engine(&model, options);
+
+  const auto first = f.BatchEvents(0, 100);
+  oracle.Step(first);
+  ASSERT_TRUE(engine.InferBatch(first).ok());
+
+  const auto next = f.BatchEvents(100, 120);
+  auto bad = next;
+  corrupt(f, &bad);
+  auto rejected = engine.InferBatch(bad);
+  ASSERT_FALSE(rejected.ok());
+  EXPECT_TRUE(rejected.status().IsInvalidArgument()) << rejected.status();
+
+  ASSERT_TRUE(engine.InferBatch(next).ok());
+  oracle.Step(next);
+  engine.Flush();
+  const auto stats = engine.stats();
+  EXPECT_EQ(stats.batches_invalid, 1);
+  EXPECT_EQ(stats.batches_ingested, 2);
+  EXPECT_EQ(stats.batches_propagated, 2);
+  ExpectStitchedMailboxEqual(engine, oracle.model(), f.config.num_nodes);
 }
 
-TEST(AsyncPipelineDropTest, MailsDroppedAccountsEveryRecord) {
-  for (const OverflowPolicy policy :
-       {OverflowPolicy::kDropNewest, OverflowPolicy::kDropOldest}) {
-    Fixture f;
-    core::ApanModel model(f.config, &f.dataset.features, 2);
-    AsyncPipeline::Options options;
-    options.queue_capacity = 1;
-    options.overflow = policy;
-    AsyncPipeline pipeline(&model, options);
-    const size_t batch = 25;
-    int64_t pushed = 0;
-    for (size_t lo = 0; lo + batch <= 400; lo += batch) {
-      auto r = pipeline.InferBatch(f.BatchEvents(lo, lo + batch));
-      ASSERT_TRUE(r.ok());
-      pushed += static_cast<int64_t>(batch);
-    }
-    pipeline.Shutdown();  // drains whatever was not dropped
-    // Whether a given batch is dropped is timing-dependent; the conserved
-    // quantity is records propagated + records dropped == records pushed.
-    EXPECT_EQ(pipeline.batches_propagated() * static_cast<int64_t>(batch) +
-                  pipeline.mails_dropped(),
-              pushed);
-  }
-}
-
-TEST(AsyncPipelineStressTest, ConcurrentFlushInferShutdown) {
-  Fixture f;
-  core::ApanModel model(f.config, &f.dataset.features, 15);
-  AsyncPipeline::Options options;
-  options.queue_capacity = 2;
-  AsyncPipeline pipeline(&model, options);
-
-  std::atomic<bool> stop{false};
-  std::thread producer([&] {
-    for (size_t lo = 0; lo + 20 <= 400; lo += 20) {
-      auto r = pipeline.InferBatch(f.BatchEvents(lo, lo + 20));
-      if (!r.ok()) {
-        EXPECT_EQ(r.status().code(), StatusCode::kCancelled);
-        break;
-      }
-    }
-    stop.store(true);
+TEST(ShardedEngineIngressTest, NodeIdOutOfRange) {
+  ExpectCorruptBatchRejected([](const Fixture& f, auto* batch) {
+    (*batch)[7].dst = f.config.num_nodes;
   });
-  std::vector<std::thread> flushers;
-  for (int t = 0; t < 2; ++t) {
-    flushers.emplace_back([&] {
-      while (!stop.load()) pipeline.Flush();
-      pipeline.Flush();
-    });
+  ExpectCorruptBatchRejected(
+      [](const Fixture&, auto* batch) { (*batch)[7].src = -1; });
+}
+
+TEST(ShardedEngineIngressTest, EdgeIdOutOfRange) {
+  ExpectCorruptBatchRejected([](const Fixture& f, auto* batch) {
+    (*batch)[7].edge_id = f.dataset.features.num_edges();
+  });
+}
+
+TEST(ShardedEngineIngressTest, TimestampBeforePreviousBatch) {
+  // The batch is internally ordered; only the bound carried over from
+  // the previous batch catches it.
+  ExpectCorruptBatchRejected([](const Fixture& f, auto* batch) {
+    (*batch)[0].timestamp = f.dataset.events[99].timestamp - 1.0;
+  });
+}
+
+TEST(ShardedEngineIngressTest, TimestampDecreasesWithinBatch) {
+  // Every time is past the previous batch; event 8 precedes event 7.
+  ExpectCorruptBatchRejected([](const Fixture&, auto* batch) {
+    (*batch)[7].timestamp = batch->back().timestamp + 1.0;
+  });
+}
+
+TEST(ShardedEngineIngressTest, NonFiniteTimestamp) {
+  ExpectCorruptBatchRejected([](const Fixture&, auto* batch) {
+    (*batch)[7].timestamp = std::numeric_limits<double>::quiet_NaN();
+  });
+  ExpectCorruptBatchRejected([](const Fixture&, auto* batch) {
+    (*batch)[7].timestamp = std::numeric_limits<double>::infinity();
+  });
+}
+
+TEST(ShardedEngineIngressTest, NegativeEdgeIdResolvesToOrdinal) {
+  // A negative edge id stands for the event's global ordinal, so it is
+  // served while that ordinal indexes a feature row and refused after.
+  Fixture f;
+  graph::EdgeFeatureStore features(f.dataset.features.dim());
+  const auto dim = static_cast<size_t>(features.dim());
+  for (graph::EdgeId id = 0; id < 25; ++id) {
+    const float* row = f.dataset.features.Row(id);
+    features.Append(std::vector<float>(row, row + dim));
   }
-  producer.join();
-  for (auto& th : flushers) th.join();
-  std::thread s1([&] { pipeline.Shutdown(); });
-  std::thread s2([&] { pipeline.Shutdown(); });
-  s1.join();
-  s2.join();
+  core::ApanModel model(f.config, &features, 12);
+  ShardedEngine::Options options;
+  options.num_shards = 2;
+  ShardedEngine engine(&model, options);
+  auto unlabeled = f.BatchEvents(0, 30);
+  for (graph::Event& e : unlabeled) e.edge_id = -1;
+  const std::vector<graph::Event> first(unlabeled.begin(),
+                                        unlabeled.begin() + 20);
+  const std::vector<graph::Event> overflow(unlabeled.begin() + 20,
+                                           unlabeled.end());
+  const std::vector<graph::Event> fits(unlabeled.begin() + 20,
+                                       unlabeled.begin() + 25);
+  ASSERT_TRUE(engine.InferBatch(first).ok());     // ordinals 0..19
+  EXPECT_TRUE(engine.InferBatch(overflow).status().IsInvalidArgument());
+  ASSERT_TRUE(engine.InferBatch(fits).ok());      // ordinals 20..24
+  engine.Flush();
+  const auto stats = engine.stats();
+  EXPECT_EQ(stats.batches_propagated, 2);
+  EXPECT_EQ(stats.batches_invalid, 1);
+  EXPECT_EQ(engine.sharded_graph().num_events(), 25);
 }
 
 }  // namespace

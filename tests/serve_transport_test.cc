@@ -1,6 +1,6 @@
 // Determinism of the sharded engine over real transports and under
 // injected faults (ISSUE 3's tentpole claim): the final mailbox state
-// must stay bitwise-equal to the single-worker AsyncPipeline when every
+// must stay bitwise-equal to the thread-free sequential oracle when every
 // cross-shard message crosses a Unix-domain socket, and when a
 // FaultyTransport delays, reorders, and duplicates messages under a
 // seeded RNG — sequence-tag replay absorbs reordering, and replay tags
@@ -15,7 +15,6 @@
 
 #include "data/synthetic.h"
 #include "graph/node_partition.h"
-#include "serve/async_pipeline.h"
 #include "serve/sharded_engine.h"
 #include "serve_state_util.h"
 
@@ -24,6 +23,7 @@ namespace serve {
 namespace {
 
 using testutil::ExpectStitchedMailboxEqual;
+using testutil::SequentialOracle;
 
 struct Fixture {
   Fixture()
@@ -46,17 +46,13 @@ struct Fixture {
   core::ApanConfig config;
 };
 
-/// Reference run: the single-worker pipeline over the first `n` events.
-std::unique_ptr<core::ApanModel> RunPipeline(const Fixture& f, size_t n,
-                                             size_t batch) {
-  auto model = std::make_unique<core::ApanModel>(f.config,
-                                                 &f.dataset.features, 7);
-  AsyncPipeline pipeline(model.get(), {});
+/// Reference run: the sequential oracle over the first `n` events.
+SequentialOracle RunOracle(const Fixture& f, size_t n, size_t batch) {
+  SequentialOracle oracle(f.config, &f.dataset.features, 7);
   for (size_t lo = 0; lo + batch <= n; lo += batch) {
-    EXPECT_TRUE(pipeline.InferBatch(f.BatchEvents(lo, lo + batch)).ok());
+    oracle.Step(f.BatchEvents(lo, lo + batch));
   }
-  pipeline.Flush();
-  return model;
+  return oracle;
 }
 
 struct ShardedRun {
@@ -110,48 +106,48 @@ TransportFactory FaultyFactory(TransportKind inner, uint64_t seed,
   };
 }
 
-// ---- Clean transports reproduce the pipeline -------------------------------
+// ---- Clean transports reproduce the oracle ---------------------------------
 
-TEST(TransportTest, InProcessTransportMatchesPipelineBitwise) {
+TEST(TransportTest, InProcessTransportMatchesOracleBitwise) {
   Fixture f;
-  const auto reference = RunPipeline(f, 400, 50);
+  const auto oracle = RunOracle(f, 400, 50);
   const auto run =
       RunSharded(f, MakeTransportFactory(TransportKind::kInProcess), 400, 50);
-  ExpectStitchedMailboxEqual(*run.engine, *reference, f.config.num_nodes);
+  ExpectStitchedMailboxEqual(*run.engine, oracle.model(), f.config.num_nodes);
   EXPECT_EQ(run.stats.duplicates_dropped, 0);
 }
 
-TEST(TransportTest, UnixSocketMatchesPipelineBitwiseOneHop) {
+TEST(TransportTest, UnixSocketMatchesOracleBitwiseOneHop) {
   if (!UnixSocketTransport::Available()) {
     GTEST_SKIP() << "AF_UNIX unavailable on this platform";
   }
   Fixture f;
-  const auto reference = RunPipeline(f, 400, 50);
+  const auto oracle = RunOracle(f, 400, 50);
   const auto run =
       RunSharded(f, MakeTransportFactory(TransportKind::kUnixSocket), 400, 50);
-  ExpectStitchedMailboxEqual(*run.engine, *reference, f.config.num_nodes);
+  ExpectStitchedMailboxEqual(*run.engine, oracle.model(), f.config.num_nodes);
   // A lossless FIFO lane delivers exactly once.
   EXPECT_EQ(run.stats.duplicates_dropped, 0);
   EXPECT_GT(run.stats.mails_cross_shard, 0);
 }
 
-TEST(TransportTest, UnixSocketMatchesPipelineBitwiseTwoHops) {
+TEST(TransportTest, UnixSocketMatchesOracleBitwiseTwoHops) {
   if (!UnixSocketTransport::Available()) {
     GTEST_SKIP() << "AF_UNIX unavailable on this platform";
   }
   Fixture f;
   f.config.propagation_hops = 2;  // chained foreign frontiers over the wire
-  const auto reference = RunPipeline(f, 300, 50);
+  const auto oracle = RunOracle(f, 300, 50);
   const auto run =
       RunSharded(f, MakeTransportFactory(TransportKind::kUnixSocket), 300, 50);
-  ExpectStitchedMailboxEqual(*run.engine, *reference, f.config.num_nodes);
+  ExpectStitchedMailboxEqual(*run.engine, oracle.model(), f.config.num_nodes);
   EXPECT_GT(run.stats.frontier_nodes_forwarded, 0);
 }
 
 // ---- Fault-injection determinism soak --------------------------------------
 // delay + reorder + duplicate under 10 RNG seeds per (transport, hops)
 // combination — 20 seeds per hop count, 20 per transport. Every run must
-// land bitwise on the single-worker mailbox.
+// land bitwise on the sequential oracle's mailbox.
 
 void FaultySoak(int32_t hops, TransportKind inner, uint64_t seed_base,
                 int num_shards = 4, bool locality_partition = false) {
@@ -162,7 +158,7 @@ void FaultySoak(int32_t hops, TransportKind inner, uint64_t seed_base,
   Fixture f;
   f.config.propagation_hops = hops;
   const size_t events = 120, batch = 40;
-  const auto reference = RunPipeline(f, events, batch);
+  const auto oracle = RunOracle(f, events, batch);
   std::shared_ptr<const graph::NodePartition> partition;
   if (locality_partition) {
     partition = graph::NodePartition::BuildLocality(
@@ -175,7 +171,7 @@ void FaultySoak(int32_t hops, TransportKind inner, uint64_t seed_base,
     const auto run = RunSharded(f, FaultyFactory(inner, seed), events, batch,
                                 /*shutdown_without_flush=*/false, num_shards,
                                 partition);
-    ExpectStitchedMailboxEqual(*run.engine, *reference, f.config.num_nodes);
+    ExpectStitchedMailboxEqual(*run.engine, oracle.model(), f.config.num_nodes);
     duplicates_dropped += run.stats.duplicates_dropped;
   }
   // With duplicate_probability 0.3 over hundreds of messages, the soak
@@ -204,11 +200,11 @@ TEST(TransportFaultSoakTest, EveryMessageDuplicatedIsDroppedByTag) {
   // Re-applying any of them would double mail counts or wedge the
   // sender-count barrier; the tags must drop them all.
   Fixture f;
-  const auto reference = RunPipeline(f, 200, 50);
+  const auto oracle = RunOracle(f, 200, 50);
   const auto run = RunSharded(
       f, FaultyFactory(TransportKind::kInProcess, 99, /*duplicate=*/1.0),
       200, 50);
-  ExpectStitchedMailboxEqual(*run.engine, *reference, f.config.num_nodes);
+  ExpectStitchedMailboxEqual(*run.engine, oracle.model(), f.config.num_nodes);
   EXPECT_GT(run.stats.duplicates_dropped, 0);
 }
 
@@ -219,14 +215,14 @@ TEST(TransportFaultSoakTest, EveryMessageDuplicatedIsDroppedByTag) {
 // equality and the fault soak under the locality-aware partitioner at
 // 2, 4, and 8 shards over both real transports.
 
-void LocalityMatchesPipeline(TransportKind kind) {
+void LocalityMatchesOracle(TransportKind kind) {
   if (kind == TransportKind::kUnixSocket &&
       !UnixSocketTransport::Available()) {
     GTEST_SKIP() << "AF_UNIX unavailable on this platform";
   }
   Fixture f;
   const size_t events = 400, batch = 50;
-  const auto reference = RunPipeline(f, events, batch);
+  const auto oracle = RunOracle(f, events, batch);
   for (const int num_shards : {2, 4, 8}) {
     SCOPED_TRACE(testing::Message() << num_shards << " shards");
     // Prior-epoch style: the partition is built from the exact stream it
@@ -237,7 +233,7 @@ void LocalityMatchesPipeline(TransportKind kind) {
     const auto run = RunSharded(f, MakeTransportFactory(kind), events, batch,
                                 /*shutdown_without_flush=*/false, num_shards,
                                 partition);
-    ExpectStitchedMailboxEqual(*run.engine, *reference, f.config.num_nodes);
+    ExpectStitchedMailboxEqual(*run.engine, oracle.model(), f.config.num_nodes);
 
     // And the point of the partitioner: co-location keeps propagation
     // local. The hash baseline at the same shard count must route
@@ -245,18 +241,18 @@ void LocalityMatchesPipeline(TransportKind kind) {
     const auto hash_run =
         RunSharded(f, MakeTransportFactory(kind), events, batch,
                    /*shutdown_without_flush=*/false, num_shards);
-    ExpectStitchedMailboxEqual(*hash_run.engine, *reference,
+    ExpectStitchedMailboxEqual(*hash_run.engine, oracle.model(),
                                f.config.num_nodes);
     EXPECT_LT(run.stats.mails_cross_shard, hash_run.stats.mails_cross_shard);
   }
 }
 
-TEST(TransportPartitionTest, LocalityMatchesPipelineInProcess) {
-  LocalityMatchesPipeline(TransportKind::kInProcess);
+TEST(TransportPartitionTest, LocalityMatchesOracleInProcess) {
+  LocalityMatchesOracle(TransportKind::kInProcess);
 }
 
-TEST(TransportPartitionTest, LocalityMatchesPipelineUnixSocket) {
-  LocalityMatchesPipeline(TransportKind::kUnixSocket);
+TEST(TransportPartitionTest, LocalityMatchesOracleUnixSocket) {
+  LocalityMatchesOracle(TransportKind::kUnixSocket);
 }
 
 TEST(TransportPartitionFaultSoakTest, TwoShardsLocalityInProcess) {
@@ -294,11 +290,11 @@ TEST(TransportShutdownTest, ShutdownUnderLoadDrainsUnixSocketLanes) {
   }
   Fixture f;
   f.config.propagation_hops = 2;
-  const auto reference = RunPipeline(f, 300, 50);
+  const auto oracle = RunOracle(f, 300, 50);
   const auto run =
       RunSharded(f, MakeTransportFactory(TransportKind::kUnixSocket), 300, 50,
                  /*shutdown_without_flush=*/true);
-  ExpectStitchedMailboxEqual(*run.engine, *reference, f.config.num_nodes);
+  ExpectStitchedMailboxEqual(*run.engine, oracle.model(), f.config.num_nodes);
 }
 
 TEST(TransportShutdownTest, ShutdownUnderLoadFlushesHeldFaultFrames) {
@@ -306,13 +302,13 @@ TEST(TransportShutdownTest, ShutdownUnderLoadFlushesHeldFaultFrames) {
   // delay buffer at Shutdown must be flushed (released to the inner
   // transport), never dropped.
   Fixture f;
-  const auto reference = RunPipeline(f, 300, 50);
+  const auto oracle = RunOracle(f, 300, 50);
   for (const uint64_t seed : {7u, 8u, 9u}) {
     SCOPED_TRACE(testing::Message() << "seed " << seed);
     const auto run =
         RunSharded(f, FaultyFactory(TransportKind::kInProcess, seed), 300, 50,
                    /*shutdown_without_flush=*/true);
-    ExpectStitchedMailboxEqual(*run.engine, *reference, f.config.num_nodes);
+    ExpectStitchedMailboxEqual(*run.engine, oracle.model(), f.config.num_nodes);
   }
 }
 
