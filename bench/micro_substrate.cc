@@ -5,6 +5,7 @@
 
 #include <benchmark/benchmark.h>
 
+#include <cmath>
 #include <memory>
 #include <vector>
 
@@ -74,7 +75,8 @@ void BM_BatchedAttentionForward(benchmark::State& state) {
   // The exact shape of APAN's encoder attention: batch x 1 query over
   // m = 10 mailbox slots, d = 32, 2 heads. Runs the fused inference path
   // (NoGradGuard) with a per-iteration arena scope — the serve-time
-  // configuration.
+  // configuration. Arg 16 is the per-shard call size of the 2-shard
+  // serving workloads.
   const int64_t batch = state.range(0);
   Rng rng(2);
   tensor::NoGradGuard no_grad;
@@ -87,7 +89,64 @@ void BM_BatchedAttentionForward(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations() * batch);
 }
-BENCHMARK(BM_BatchedAttentionForward)->Arg(64)->Arg(256)->Arg(1024);
+BENCHMARK(BM_BatchedAttentionForward)->Arg(16)->Arg(64)->Arg(256)->Arg(1024);
+
+void BM_BatchedAttentionForwardReference(benchmark::State& state) {
+  // The projection-first serve attention at the same shape, the "before"
+  // of BM_BatchedAttentionForward: every slot row is projected through
+  // W_k and W_v by MatMul, then per-head strided dots score the projected
+  // keys and an attn-weighted sum mixes the projected values.
+  const int64_t batch = state.range(0);
+  const int64_t d = 32, h = 2, m = 10, dh = d / h;
+  const float scale = 1.0f / std::sqrt(static_cast<float>(dh));
+  Rng rng(2);
+  auto randn = [&rng](int64_t n) {
+    std::vector<float> v(static_cast<size_t>(n));
+    for (auto& x : v) x = static_cast<float>(rng.Normal());
+    return v;
+  };
+  const auto wq = randn(d * d), wk = randn(d * d), wv = randn(d * d),
+             wo = randn(d * d);
+  const auto query = randn(batch * d), kv = randn(batch * m * d);
+  std::vector<float> q(static_cast<size_t>(batch * d)), ctx(q.size()),
+      out(q.size());
+  std::vector<float> k(static_cast<size_t>(batch * m * d)), v(k.size());
+  std::vector<float> attn(static_cast<size_t>(batch * h * m));
+  for (auto _ : state) {
+    kernels::MatMul(query.data(), wq.data(), q.data(), batch, d, d);
+    kernels::MatMul(kv.data(), wk.data(), k.data(), batch * m, d, d);
+    kernels::MatMul(kv.data(), wv.data(), v.data(), batch * m, d, d);
+    for (int64_t bi = 0; bi < batch; ++bi) {
+      for (int64_t hi = 0; hi < h; ++hi) {
+        for (int64_t s = 0; s < m; ++s) {
+          attn[static_cast<size_t>((bi * h + hi) * m + s)] =
+              scale * kernels::Dot(q.data() + bi * d + hi * dh,
+                                   k.data() + (bi * m + s) * d + hi * dh, dh);
+        }
+      }
+    }
+    kernels::MaskedSoftmax(attn.data(), nullptr, attn.data(), batch, h, m);
+    for (int64_t bi = 0; bi < batch; ++bi) {
+      for (int64_t hi = 0; hi < h; ++hi) {
+        const float* arow = attn.data() + (bi * h + hi) * m;
+        float* crow = ctx.data() + bi * d + hi * dh;
+        for (int64_t j = 0; j < dh; ++j) crow[j] = 0.0f;
+        for (int64_t s = 0; s < m; ++s) {
+          const float* vrow = v.data() + (bi * m + s) * d + hi * dh;
+          for (int64_t j = 0; j < dh; ++j) crow[j] += arow[s] * vrow[j];
+        }
+      }
+    }
+    kernels::MatMul(ctx.data(), wo.data(), out.data(), batch, d, d);
+    benchmark::DoNotOptimize(out.data());
+  }
+  state.SetItemsProcessed(state.iterations() * batch);
+}
+BENCHMARK(BM_BatchedAttentionForwardReference)
+    ->Arg(16)
+    ->Arg(64)
+    ->Arg(256)
+    ->Arg(1024);
 
 void BM_SoftmaxLastDim(benchmark::State& state) {
   Rng rng(3);

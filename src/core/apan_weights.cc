@@ -32,6 +32,13 @@ ApanEncoder::Output ApanWeights::EncodeNodes(
   return encoder_->EncodeNodes(store, nodes, /*dropout_rng=*/nullptr);
 }
 
+ApanEncoder::Output ApanWeights::Encode(
+    const tensor::Tensor& last_embeddings,
+    const Mailbox::ReadResult& mailbox_read) const {
+  return encoder_->Forward(last_embeddings, mailbox_read,
+                           /*dropout_rng=*/nullptr);
+}
+
 tensor::Tensor ApanWeights::ScoreLinkLogits(const tensor::Tensor& z_src,
                                             const tensor::Tensor& z_dst) const {
   const float inv_sqrt_d =

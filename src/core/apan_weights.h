@@ -49,6 +49,13 @@ class ApanWeights {
   ApanEncoder::Output EncodeNodes(const NodeStateStore& store,
                                   const std::vector<graph::NodeId>& nodes) const;
 
+  /// Encoder pass over state already read out of a store
+  /// (NodeStateStore::GatherLastEmbeddings + ReadBatch, both copies).
+  /// Touches no store, so a caller can read under its state lock and run
+  /// the forward pass after releasing it. Same result as EncodeNodes.
+  ApanEncoder::Output Encode(const tensor::Tensor& last_embeddings,
+                             const Mailbox::ReadResult& mailbox_read) const;
+
   /// Link-prediction logits per the paper's Eq. 7: scaled dot product
   /// with the learnable affine calibration. \return {batch, 1} logits.
   tensor::Tensor ScoreLinkLogits(const tensor::Tensor& z_src,

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 
+#include "graph/visible_prefix.h"
+
 namespace apan {
 namespace graph {
 
@@ -161,29 +163,6 @@ Status ShardedTemporalGraph::AppendBatchSlice(int shard, int64_t batch,
   slice.watermark.store(batch + 1, std::memory_order_release);
   return Status::OK();
 }
-
-namespace {
-
-/// First row index at or past the (before_time, ordinal_limit) horizon.
-/// Rows are sorted by both timestamp and ordinal (stream order), so the
-/// visible prefix is the min of two independent binary-searched cuts.
-template <typename Entry>
-size_t VisibleEnd(const std::vector<Entry>& row, double before_time,
-                  int64_t ordinal_limit) {
-  const auto time_end = std::lower_bound(
-      row.begin(), row.end(), before_time,
-      [](const Entry& e, double t) { return e.timestamp < t; });
-  auto end = time_end;
-  if (ordinal_limit != std::numeric_limits<int64_t>::max()) {
-    const auto ordinal_end = std::lower_bound(
-        row.begin(), row.end(), ordinal_limit,
-        [](const Entry& e, int64_t limit) { return e.ordinal < limit; });
-    end = std::min(end, ordinal_end);
-  }
-  return static_cast<size_t>(end - row.begin());
-}
-
-}  // namespace
 
 std::vector<TemporalNeighbor> ShardedTemporalGraph::NeighborsBeforeAsOf(
     NodeId node, double before_time, int64_t ordinal_limit) const {

@@ -2,8 +2,23 @@
 
 #include <algorithm>
 
+#include "graph/visible_prefix.h"
+
 namespace apan {
 namespace graph {
+
+namespace {
+
+/// First occurrence in `adj` at or after `before_time`.
+std::vector<TemporalNeighbor>::const_iterator EndBefore(
+    const std::vector<TemporalNeighbor>& adj, double before_time) {
+  return adj.begin() + static_cast<std::ptrdiff_t>(TailPartitionPoint(
+                           adj, [before_time](const TemporalNeighbor& n) {
+                             return n.timestamp < before_time;
+                           }));
+}
+
+}  // namespace
 
 TemporalGraph::TemporalGraph(int64_t num_nodes) : num_nodes_(num_nodes) {
   APAN_CHECK_MSG(num_nodes > 0, "TemporalGraph needs at least one node");
@@ -46,10 +61,7 @@ std::vector<TemporalNeighbor> TemporalGraph::NeighborsBefore(
   query_count_.fetch_add(1, std::memory_order_relaxed);
   if (!ValidNode(node)) return {};
   const auto& adj = adjacency_[static_cast<size_t>(node)];
-  // Binary search for the first occurrence at or after before_time.
-  const auto end = std::lower_bound(
-      adj.begin(), adj.end(), before_time,
-      [](const TemporalNeighbor& n, double t) { return n.timestamp < t; });
+  const auto end = EndBefore(adj, before_time);
   return std::vector<TemporalNeighbor>(adj.begin(), end);
 }
 
@@ -58,9 +70,7 @@ std::vector<TemporalNeighbor> TemporalGraph::MostRecentNeighbors(
   query_count_.fetch_add(1, std::memory_order_relaxed);
   if (!ValidNode(node) || k <= 0) return {};
   const auto& adj = adjacency_[static_cast<size_t>(node)];
-  const auto end = std::lower_bound(
-      adj.begin(), adj.end(), before_time,
-      [](const TemporalNeighbor& n, double t) { return n.timestamp < t; });
+  const auto end = EndBefore(adj, before_time);
   const int64_t available = static_cast<int64_t>(end - adj.begin());
   const int64_t take = std::min(k, available);
   // Return in ascending-time order, keeping the `take` most recent.
@@ -73,9 +83,7 @@ std::vector<TemporalNeighbor> TemporalGraph::UniformNeighbors(
   if (!ValidNode(node) || k <= 0) return {};
   APAN_CHECK(rng != nullptr);
   const auto& adj = adjacency_[static_cast<size_t>(node)];
-  const auto end = std::lower_bound(
-      adj.begin(), adj.end(), before_time,
-      [](const TemporalNeighbor& n, double t) { return n.timestamp < t; });
+  const auto end = EndBefore(adj, before_time);
   const size_t available = static_cast<size_t>(end - adj.begin());
   if (available == 0) return {};
   if (available <= static_cast<size_t>(k)) {

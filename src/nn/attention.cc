@@ -1,5 +1,6 @@
 #include "nn/attention.h"
 
+#include <algorithm>
 #include <cmath>
 
 #include "tensor/kernels.h"
@@ -121,34 +122,32 @@ AttentionOutput MultiHeadAttention::ForwardInference(
                      !wo_.has_bias(),
                  "fused attention path assumes bias-free projections");
 
-  // Projections to {batch, d} / {batch*m, d}; the 3-D key/value tensors
-  // are already row-major {b*m, dk}, so no flatten copy is needed.
+  // Absorbed single-query attention: the query is folded through W_k and
+  // the attention-weighted raw values through W_v, so no key or value row
+  // is ever projected — (2m+2)d^2 + 2md multiply-adds per row become
+  // 4d^2 + 2hmd. Every intermediate is an arena buffer; `scratch` holds
+  // one row's folded queries / mixed values at a time.
   Tensor q = tensor::ForwardBuffer({batch, model_dim_}, /*zero=*/false);
   kernels::MatMul(query.data(), wq_.weight().data(), q.data(), batch, dq,
                   model_dim_);
-  Tensor k = tensor::ForwardBuffer({batch * num_keys, model_dim_},
-                                   /*zero=*/false);
-  kernels::MatMul(keys.data(), wk_.weight().data(), k.data(),
-                  batch * num_keys, dk, model_dim_);
-  Tensor v = tensor::ForwardBuffer({batch * num_keys, model_dim_},
-                                   /*zero=*/false);
-  kernels::MatMul(values.data(), wv_.weight().data(), v.data(),
-                  batch * num_keys, dv, model_dim_);
-
-  // Strided scores replace the Permute+Reshape head split; the softmax
-  // folds the per-(batch, key) mask in without expanding it across heads.
+  Tensor scratch = tensor::ForwardBuffer({num_heads_ * std::max(dk, dv)},
+                                         /*zero=*/false);
+  // The softmax folds the per-(batch, key) mask in without expanding it
+  // across heads.
   Tensor attn = tensor::ForwardBuffer({batch, num_heads_, num_keys},
                                       /*zero=*/false);
   kernels::AttentionScores(
-      q.data(), k.data(), attn.data(), batch, num_heads_, num_keys,
-      head_dim_, 1.0f / std::sqrt(static_cast<float>(head_dim_)));
+      q.data(), wk_.weight().data(), keys.data(), scratch.data(), attn.data(),
+      batch, num_heads_, num_keys, dk, head_dim_,
+      1.0f / std::sqrt(static_cast<float>(head_dim_)));
   kernels::MaskedSoftmax(attn.data(),
                          mask != nullptr ? mask->data() : nullptr,
                          attn.data(), batch, num_heads_, num_keys);
 
   Tensor context = tensor::ForwardBuffer({batch, model_dim_}, /*zero=*/false);
-  kernels::AttentionContext(attn.data(), v.data(), context.data(), batch,
-                            num_heads_, num_keys, head_dim_);
+  kernels::AttentionContext(attn.data(), values.data(), wv_.weight().data(),
+                            scratch.data(), context.data(), batch, num_heads_,
+                            num_keys, dv, head_dim_);
   Tensor out = tensor::ForwardBuffer({batch, model_dim_}, /*zero=*/false);
   kernels::MatMul(context.data(), wo_.weight().data(), out.data(), batch,
                   model_dim_, model_dim_);

@@ -57,10 +57,12 @@ class MultiHeadAttention : public Module {
 
  private:
   /// Kernel-fused forward for inference mode (NoGradGuard active): no
-  /// autograd graph, no Permute/Reshape head-split materializations, no
-  /// batch*heads*num_keys mask expansion — the projections feed strided
-  /// AttentionScores / MaskedSoftmax / AttentionContext kernels and all
-  /// intermediates come from the active TensorArena.
+  /// autograd graph, no head-split materializations, no
+  /// batch*heads*num_keys mask expansion. Absorbed form — the query is
+  /// folded through W_k (AttentionScores) and the attention-weighted raw
+  /// values are projected through W_v once per head (AttentionContext), so
+  /// no key or value row is projected. All intermediates come from the
+  /// active TensorArena.
   AttentionOutput ForwardInference(const tensor::Tensor& query,
                                    const tensor::Tensor& keys,
                                    const tensor::Tensor& values,

@@ -244,12 +244,19 @@ Result<ShardedEngine::InferenceResult> ShardedEngine::InferBatch(
       Stopwatch encode_watch;
       const auto& nodes = shard_nodes[static_cast<size_t>(s)];
       const auto& unique_rows = shard_unique[static_cast<size_t>(s)];
-      core::ApanEncoder::Output out;
+      // Only the reads hold the state lock: both return copies, so the
+      // forward pass runs unlocked and a worker's merge into this shard's
+      // store waits for the gather alone, not for the attention.
+      tensor::Tensor last;
+      core::Mailbox::ReadResult read;
       {
         Shard& shard = *shards_[static_cast<size_t>(s)];
         util::MutexLock state_lock(shard.state_mu);
-        out = model_->weights().EncodeNodes(*shard.store, nodes);
+        last = shard.store->GatherLastEmbeddings(nodes);
+        read = shard.store->ReadBatch(nodes);
       }
+      const core::ApanEncoder::Output out =
+          model_->weights().Encode(last, read);
       const float* rows = out.embeddings.data();
       for (size_t r = 0; r < nodes.size(); ++r) {
         std::copy_n(rows + static_cast<int64_t>(r) * d, d,

@@ -175,6 +175,24 @@ inline void SoftmaxRow(const float* xr, const float* add, float* yr,
   for (int64_t j = 0; j < d; ++j) yr[j] *= inv;
 }
 
+/// c[i, j] = sum_kk a[i, kk] * b[kk, j] over row strides lda / ldb / ldc,
+/// serial over kk (the MatMul order) — for operands that are column
+/// blocks of wider matrices.
+inline void MatMulRows(const float* a, int64_t lda, const float* b,
+                       int64_t ldb, float* c, int64_t ldc, int64_t n,
+                       int64_t k, int64_t m) {
+  for (int64_t i = 0; i < n; ++i) {
+    const float* arow = a + i * lda;
+    float* crow = c + i * ldc;
+    for (int64_t j = 0; j < m; ++j) crow[j] = 0.0f;
+    for (int64_t kk = 0; kk < k; ++kk) {
+      const float aik = arow[kk];
+      const float* brow = b + kk * ldb;
+      for (int64_t j = 0; j < m; ++j) crow[j] += aik * brow[j];
+    }
+  }
+}
+
 }  // namespace
 
 void MatMul(const float* a, const float* b, float* c, int64_t n, int64_t k,
@@ -242,35 +260,37 @@ float Dot(const float* a, const float* b, int64_t n) {
   return BlockedDot(a, b, n);
 }
 
-void AttentionScores(const float* q, const float* k, float* scores,
-                     int64_t b, int64_t h, int64_t m, int64_t dh,
-                     float scale) {
+void AttentionScores(const float* q, const float* wk, const float* keys,
+                     float* u, float* scores, int64_t b, int64_t h,
+                     int64_t m, int64_t dk, int64_t dh, float scale) {
   const int64_t d = h * dh;
   for (int64_t bi = 0; bi < b; ++bi) {
     for (int64_t hi = 0; hi < h; ++hi) {
-      const float* qrow = q + bi * d + hi * dh;
+      const float* qh = q + bi * d + hi * dh;
+      for (int64_t i = 0; i < dk; ++i) {
+        u[hi * dk + i] = BlockedDot(wk + i * d + hi * dh, qh, dh);
+      }
+    }
+    const float* kb = keys + bi * m * dk;
+    for (int64_t hi = 0; hi < h; ++hi) {
       float* srow = scores + (bi * h + hi) * m;
       for (int64_t s = 0; s < m; ++s) {
-        const float* krow = k + (bi * m + s) * d + hi * dh;
-        srow[s] = scale * BlockedDot(qrow, krow, dh);
+        srow[s] = scale * BlockedDot(kb + s * dk, u + hi * dk, dk);
       }
     }
   }
 }
 
-void AttentionContext(const float* attn, const float* v, float* ctx,
-                      int64_t b, int64_t h, int64_t m, int64_t dh) {
+void AttentionContext(const float* attn, const float* values, const float* wv,
+                      float* sv, float* ctx, int64_t b, int64_t h, int64_t m,
+                      int64_t dv, int64_t dh) {
   const int64_t d = h * dh;
   for (int64_t bi = 0; bi < b; ++bi) {
+    MatMulRows(attn + bi * h * m, m, values + bi * m * dv, dv, sv, dv, h, m,
+               dv);
     for (int64_t hi = 0; hi < h; ++hi) {
-      const float* arow = attn + (bi * h + hi) * m;
-      float* out = ctx + bi * d + hi * dh;
-      for (int64_t j = 0; j < dh; ++j) out[j] = 0.0f;
-      for (int64_t s = 0; s < m; ++s) {
-        const float w = arow[s];
-        const float* vrow = v + (bi * m + s) * d + hi * dh;
-        for (int64_t j = 0; j < dh; ++j) out[j] += w * vrow[j];
-      }
+      MatMulRows(sv + hi * dv, dv, wv + hi * dh, d, ctx + bi * d + hi * dh, d,
+                 1, dv, dh);
     }
   }
 }
@@ -378,17 +398,16 @@ __attribute__((target("avx2"))) inline void SoftmaxRow(const float* xr,
   for (; j < d; ++j) yr[j] *= inv;
 }
 
-}  // namespace
-
-__attribute__((target("avx2"))) void MatMul(const float* a, const float* b,
-                                            float* c, int64_t n, int64_t k,
-                                            int64_t m) {
+/// c[i, j] = sum_kk a[i, kk] * b[kk, j] over row strides lda / ldb / ldc.
+/// Four-register tiles over the output row; each C element still
+/// accumulates serially over k, so this is bitwise the ikj order.
+__attribute__((target("avx2"))) inline void MatMulRows(
+    const float* a, int64_t lda, const float* b, int64_t ldb, float* c,
+    int64_t ldc, int64_t n, int64_t k, int64_t m) {
   for (int64_t i = 0; i < n; ++i) {
-    const float* arow = a + i * k;
-    float* crow = c + i * m;
+    const float* arow = a + i * lda;
+    float* crow = c + i * ldc;
     int64_t j = 0;
-    // Four-register tiles over the output row; each C element still
-    // accumulates serially over k, so this is bitwise the ikj order.
     for (; j + 32 <= m; j += 32) {
       __m256 c0 = _mm256_setzero_ps();
       __m256 c1 = _mm256_setzero_ps();
@@ -396,7 +415,7 @@ __attribute__((target("avx2"))) void MatMul(const float* a, const float* b,
       __m256 c3 = _mm256_setzero_ps();
       for (int64_t kk = 0; kk < k; ++kk) {
         const __m256 av = _mm256_set1_ps(arow[kk]);
-        const float* brow = b + kk * m + j;
+        const float* brow = b + kk * ldb + j;
         c0 = _mm256_add_ps(c0, _mm256_mul_ps(av, _mm256_loadu_ps(brow)));
         c1 = _mm256_add_ps(c1, _mm256_mul_ps(av, _mm256_loadu_ps(brow + 8)));
         c2 = _mm256_add_ps(c2, _mm256_mul_ps(av, _mm256_loadu_ps(brow + 16)));
@@ -410,17 +429,121 @@ __attribute__((target("avx2"))) void MatMul(const float* a, const float* b,
     for (; j + 8 <= m; j += 8) {
       __m256 c0 = _mm256_setzero_ps();
       for (int64_t kk = 0; kk < k; ++kk) {
-        c0 = _mm256_add_ps(c0, _mm256_mul_ps(_mm256_set1_ps(arow[kk]),
-                                             _mm256_loadu_ps(b + kk * m + j)));
+        c0 = _mm256_add_ps(c0,
+                           _mm256_mul_ps(_mm256_set1_ps(arow[kk]),
+                                         _mm256_loadu_ps(b + kk * ldb + j)));
       }
       _mm256_storeu_ps(crow + j, c0);
     }
     for (; j < m; ++j) {
       float acc = 0.0f;
-      for (int64_t kk = 0; kk < k; ++kk) acc += arow[kk] * b[kk * m + j];
+      for (int64_t kk = 0; kk < k; ++kk) acc += arow[kk] * b[kk * ldb + j];
       crow[j] = acc;
     }
   }
+}
+
+/// out[r] = BlockedDot(rows + r * stride, x, n) for r < count. Eight rows
+/// at a time share the x loads, and their lane vectors fold through one
+/// hadd/permute tree: hadd pairs lanes (l0+l1, l2+l3), the second hadd
+/// pairs those, and adding the two 128-bit halves is the last Tree8 node,
+/// so every out[r] is bitwise the single-row BlockedDot.
+__attribute__((target("avx2"))) inline void BlockedDotRows(
+    const float* rows, int64_t stride, int64_t count, const float* x,
+    int64_t n, float* out) {
+  const int64_t full = n - n % 8;
+  const __m256i tail = _mm256_cmpgt_epi32(
+      _mm256_set1_epi32(static_cast<int>(n - full)),
+      _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7));
+  int64_t r = 0;
+  for (; r + 8 <= count; r += 8) {
+    const float* base = rows + r * stride;
+    __m256 acc[8];
+#pragma GCC unroll 8
+    for (int l = 0; l < 8; ++l) acc[l] = _mm256_setzero_ps();
+    for (int64_t i = 0; i < full; i += 8) {
+      const __m256 xv = _mm256_loadu_ps(x + i);
+#pragma GCC unroll 8
+      for (int l = 0; l < 8; ++l) {
+        acc[l] = _mm256_add_ps(
+            acc[l], _mm256_mul_ps(_mm256_loadu_ps(base + l * stride + i), xv));
+      }
+    }
+    if (full < n) {
+      // Trailing partial block into lanes 0..n-full-1 only; the blend
+      // leaves the other lanes' sums untouched.
+      const __m256 xv = _mm256_maskload_ps(x + full, tail);
+      const __m256 keep = _mm256_castsi256_ps(tail);
+#pragma GCC unroll 8
+      for (int l = 0; l < 8; ++l) {
+        const __m256 prod = _mm256_mul_ps(
+            _mm256_maskload_ps(base + l * stride + full, tail), xv);
+        acc[l] = _mm256_blendv_ps(acc[l], _mm256_add_ps(acc[l], prod), keep);
+      }
+    }
+    const __m256 t0 = _mm256_hadd_ps(_mm256_hadd_ps(acc[0], acc[1]),
+                                     _mm256_hadd_ps(acc[2], acc[3]));
+    const __m256 t1 = _mm256_hadd_ps(_mm256_hadd_ps(acc[4], acc[5]),
+                                     _mm256_hadd_ps(acc[6], acc[7]));
+    _mm256_storeu_ps(out + r,
+                     _mm256_add_ps(_mm256_permute2f128_ps(t0, t1, 0x20),
+                                   _mm256_permute2f128_ps(t0, t1, 0x31)));
+  }
+  for (; r < count; ++r) out[r] = BlockedDot(rows + r * stride, x, n);
+}
+
+/// The head-block projection crow[j] = sum_i sv[j / dh, i] * wv[i, j]
+/// for j < h*dh, serial over i like MatMulRows. Needs dh % 8 == 0, so
+/// every 8-lane block lies inside one head: the heads then share each
+/// pass over wv's rows, four blocks at a time as independent chains,
+/// instead of one short MatMulRows per head.
+__attribute__((target("avx2"))) inline void HeadBlockProject(
+    const float* sv, int64_t dv, const float* wv, float* crow, int64_t h,
+    int64_t dh) {
+  const int64_t d = h * dh;
+  int64_t j = 0;
+  for (; j + 32 <= d; j += 32) {
+    const float* a0 = sv + (j / dh) * dv;
+    const float* a1 = sv + ((j + 8) / dh) * dv;
+    const float* a2 = sv + ((j + 16) / dh) * dv;
+    const float* a3 = sv + ((j + 24) / dh) * dv;
+    __m256 c0 = _mm256_setzero_ps();
+    __m256 c1 = _mm256_setzero_ps();
+    __m256 c2 = _mm256_setzero_ps();
+    __m256 c3 = _mm256_setzero_ps();
+    for (int64_t i = 0; i < dv; ++i) {
+      const float* brow = wv + i * d + j;
+      c0 = _mm256_add_ps(c0, _mm256_mul_ps(_mm256_set1_ps(a0[i]),
+                                           _mm256_loadu_ps(brow)));
+      c1 = _mm256_add_ps(c1, _mm256_mul_ps(_mm256_set1_ps(a1[i]),
+                                           _mm256_loadu_ps(brow + 8)));
+      c2 = _mm256_add_ps(c2, _mm256_mul_ps(_mm256_set1_ps(a2[i]),
+                                           _mm256_loadu_ps(brow + 16)));
+      c3 = _mm256_add_ps(c3, _mm256_mul_ps(_mm256_set1_ps(a3[i]),
+                                           _mm256_loadu_ps(brow + 24)));
+    }
+    _mm256_storeu_ps(crow + j, c0);
+    _mm256_storeu_ps(crow + j + 8, c1);
+    _mm256_storeu_ps(crow + j + 16, c2);
+    _mm256_storeu_ps(crow + j + 24, c3);
+  }
+  for (; j < d; j += 8) {
+    const float* a0 = sv + (j / dh) * dv;
+    __m256 c0 = _mm256_setzero_ps();
+    for (int64_t i = 0; i < dv; ++i) {
+      c0 = _mm256_add_ps(c0, _mm256_mul_ps(_mm256_set1_ps(a0[i]),
+                                           _mm256_loadu_ps(wv + i * d + j)));
+    }
+    _mm256_storeu_ps(crow + j, c0);
+  }
+}
+
+}  // namespace
+
+__attribute__((target("avx2"))) void MatMul(const float* a, const float* b,
+                                            float* c, int64_t n, int64_t k,
+                                            int64_t m) {
+  MatMulRows(a, k, b, m, c, m, n, k, m);
 }
 
 __attribute__((target("avx2"))) void Bmm(const float* a, const float* b,
@@ -524,50 +647,38 @@ __attribute__((target("avx2"))) float Dot(const float* a, const float* b,
   return BlockedDot(a, b, n);
 }
 
-__attribute__((target("avx2"))) void AttentionScores(const float* q,
-                                                     const float* k,
-                                                     float* scores, int64_t b,
-                                                     int64_t h, int64_t m,
-                                                     int64_t dh, float scale) {
+__attribute__((target("avx2"))) void AttentionScores(
+    const float* q, const float* wk, const float* keys, float* u,
+    float* scores, int64_t b, int64_t h, int64_t m, int64_t dk, int64_t dh,
+    float scale) {
   const int64_t d = h * dh;
   for (int64_t bi = 0; bi < b; ++bi) {
     for (int64_t hi = 0; hi < h; ++hi) {
-      const float* qrow = q + bi * d + hi * dh;
+      BlockedDotRows(wk + hi * dh, d, dk, q + bi * d + hi * dh, dh,
+                     u + hi * dk);
+    }
+    for (int64_t hi = 0; hi < h; ++hi) {
       float* srow = scores + (bi * h + hi) * m;
-      for (int64_t s = 0; s < m; ++s) {
-        const float* krow = k + (bi * m + s) * d + hi * dh;
-        srow[s] = scale * BlockedDot(qrow, krow, dh);
-      }
+      BlockedDotRows(keys + bi * m * dk, dk, m, u + hi * dk, dk, srow);
+      for (int64_t s = 0; s < m; ++s) srow[s] = scale * srow[s];
     }
   }
 }
 
-__attribute__((target("avx2"))) void AttentionContext(const float* attn,
-                                                      const float* v,
-                                                      float* ctx, int64_t b,
-                                                      int64_t h, int64_t m,
-                                                      int64_t dh) {
+__attribute__((target("avx2"))) void AttentionContext(
+    const float* attn, const float* values, const float* wv, float* sv,
+    float* ctx, int64_t b, int64_t h, int64_t m, int64_t dv, int64_t dh) {
   const int64_t d = h * dh;
   for (int64_t bi = 0; bi < b; ++bi) {
+    MatMulRows(attn + bi * h * m, m, values + bi * m * dv, dv, sv, dv, h, m,
+               dv);
+    if (dh % 8 == 0) {
+      HeadBlockProject(sv, dv, wv, ctx + bi * d, h, dh);
+      continue;
+    }
     for (int64_t hi = 0; hi < h; ++hi) {
-      const float* arow = attn + (bi * h + hi) * m;
-      float* out = ctx + bi * d + hi * dh;
-      const float* vbase = v + bi * m * d + hi * dh;
-      int64_t j = 0;
-      for (; j + 8 <= dh; j += 8) {
-        __m256 acc = _mm256_setzero_ps();
-        for (int64_t s = 0; s < m; ++s) {
-          acc = _mm256_add_ps(
-              acc, _mm256_mul_ps(_mm256_set1_ps(arow[s]),
-                                 _mm256_loadu_ps(vbase + s * d + j)));
-        }
-        _mm256_storeu_ps(out + j, acc);
-      }
-      for (; j < dh; ++j) {
-        float acc = 0.0f;
-        for (int64_t s = 0; s < m; ++s) acc += arow[s] * vbase[s * d + j];
-        out[j] = acc;
-      }
+      MatMulRows(sv + hi * dv, dv, wv + hi * dh, d, ctx + bi * d + hi * dh, d,
+                 1, dv, dh);
     }
   }
 }
@@ -696,13 +807,14 @@ inline void SoftmaxRow(const float* xr, const float* add, float* yr,
   for (; j < d; ++j) yr[j] *= inv;
 }
 
-}  // namespace
-
-void MatMul(const float* a, const float* b, float* c, int64_t n, int64_t k,
-            int64_t m) {
+/// c[i, j] = sum_kk a[i, kk] * b[kk, j] over row strides lda / ldb / ldc,
+/// each element serial over k (bitwise the ikj order).
+inline void MatMulRows(const float* a, int64_t lda, const float* b,
+                       int64_t ldb, float* c, int64_t ldc, int64_t n,
+                       int64_t k, int64_t m) {
   for (int64_t i = 0; i < n; ++i) {
-    const float* arow = a + i * k;
-    float* crow = c + i * m;
+    const float* arow = a + i * lda;
+    float* crow = c + i * ldc;
     int64_t j = 0;
     for (; j + 16 <= m; j += 16) {
       float32x4_t c0 = vdupq_n_f32(0.0f);
@@ -711,7 +823,7 @@ void MatMul(const float* a, const float* b, float* c, int64_t n, int64_t k,
       float32x4_t c3 = vdupq_n_f32(0.0f);
       for (int64_t kk = 0; kk < k; ++kk) {
         const float32x4_t av = vdupq_n_f32(arow[kk]);
-        const float* brow = b + kk * m + j;
+        const float* brow = b + kk * ldb + j;
         c0 = vaddq_f32(c0, vmulq_f32(av, vld1q_f32(brow)));
         c1 = vaddq_f32(c1, vmulq_f32(av, vld1q_f32(brow + 4)));
         c2 = vaddq_f32(c2, vmulq_f32(av, vld1q_f32(brow + 8)));
@@ -726,16 +838,23 @@ void MatMul(const float* a, const float* b, float* c, int64_t n, int64_t k,
       float32x4_t c0 = vdupq_n_f32(0.0f);
       for (int64_t kk = 0; kk < k; ++kk) {
         c0 = vaddq_f32(c0, vmulq_f32(vdupq_n_f32(arow[kk]),
-                                     vld1q_f32(b + kk * m + j)));
+                                     vld1q_f32(b + kk * ldb + j)));
       }
       vst1q_f32(crow + j, c0);
     }
     for (; j < m; ++j) {
       float acc = 0.0f;
-      for (int64_t kk = 0; kk < k; ++kk) acc += arow[kk] * b[kk * m + j];
+      for (int64_t kk = 0; kk < k; ++kk) acc += arow[kk] * b[kk * ldb + j];
       crow[j] = acc;
     }
   }
+}
+
+}  // namespace
+
+void MatMul(const float* a, const float* b, float* c, int64_t n, int64_t k,
+            int64_t m) {
+  MatMulRows(a, k, b, m, c, m, n, k, m);
 }
 
 void Bmm(const float* a, const float* b, float* c, int64_t bs, int64_t n,
@@ -820,44 +939,37 @@ float Dot(const float* a, const float* b, int64_t n) {
   return BlockedDot(a, b, n);
 }
 
-void AttentionScores(const float* q, const float* k, float* scores,
-                     int64_t b, int64_t h, int64_t m, int64_t dh,
-                     float scale) {
+void AttentionScores(const float* q, const float* wk, const float* keys,
+                     float* u, float* scores, int64_t b, int64_t h,
+                     int64_t m, int64_t dk, int64_t dh, float scale) {
   const int64_t d = h * dh;
   for (int64_t bi = 0; bi < b; ++bi) {
     for (int64_t hi = 0; hi < h; ++hi) {
-      const float* qrow = q + bi * d + hi * dh;
+      const float* qh = q + bi * d + hi * dh;
+      for (int64_t i = 0; i < dk; ++i) {
+        u[hi * dk + i] = BlockedDot(wk + i * d + hi * dh, qh, dh);
+      }
+    }
+    const float* kb = keys + bi * m * dk;
+    for (int64_t hi = 0; hi < h; ++hi) {
       float* srow = scores + (bi * h + hi) * m;
       for (int64_t s = 0; s < m; ++s) {
-        const float* krow = k + (bi * m + s) * d + hi * dh;
-        srow[s] = scale * BlockedDot(qrow, krow, dh);
+        srow[s] = scale * BlockedDot(kb + s * dk, u + hi * dk, dk);
       }
     }
   }
 }
 
-void AttentionContext(const float* attn, const float* v, float* ctx,
-                      int64_t b, int64_t h, int64_t m, int64_t dh) {
+void AttentionContext(const float* attn, const float* values, const float* wv,
+                      float* sv, float* ctx, int64_t b, int64_t h, int64_t m,
+                      int64_t dv, int64_t dh) {
   const int64_t d = h * dh;
   for (int64_t bi = 0; bi < b; ++bi) {
+    MatMulRows(attn + bi * h * m, m, values + bi * m * dv, dv, sv, dv, h, m,
+               dv);
     for (int64_t hi = 0; hi < h; ++hi) {
-      const float* arow = attn + (bi * h + hi) * m;
-      float* out = ctx + bi * d + hi * dh;
-      const float* vbase = v + bi * m * d + hi * dh;
-      int64_t j = 0;
-      for (; j + 4 <= dh; j += 4) {
-        float32x4_t acc = vdupq_n_f32(0.0f);
-        for (int64_t s = 0; s < m; ++s) {
-          acc = vaddq_f32(acc, vmulq_f32(vdupq_n_f32(arow[s]),
-                                         vld1q_f32(vbase + s * d + j)));
-        }
-        vst1q_f32(out + j, acc);
-      }
-      for (; j < dh; ++j) {
-        float acc = 0.0f;
-        for (int64_t s = 0; s < m; ++s) acc += arow[s] * vbase[s * d + j];
-        out[j] = acc;
-      }
+      MatMulRows(sv + hi * dv, dv, wv + hi * dh, d, ctx + bi * d + hi * dh, d,
+                 1, dv, dh);
     }
   }
 }
@@ -906,12 +1018,12 @@ struct DispatchTable {
   void (*add_same)(const float*, const float*, float*, int64_t) =
       scalar::AddSame;
   float (*dot)(const float*, const float*, int64_t) = scalar::Dot;
-  void (*attention_scores)(const float*, const float*, float*, int64_t,
-                           int64_t, int64_t, int64_t, float) =
-      scalar::AttentionScores;
-  void (*attention_context)(const float*, const float*, float*, int64_t,
-                            int64_t, int64_t, int64_t) =
-      scalar::AttentionContext;
+  void (*attention_scores)(const float*, const float*, const float*, float*,
+                           float*, int64_t, int64_t, int64_t, int64_t,
+                           int64_t, float) = scalar::AttentionScores;
+  void (*attention_context)(const float*, const float*, const float*, float*,
+                            float*, int64_t, int64_t, int64_t, int64_t,
+                            int64_t) = scalar::AttentionContext;
   void (*residual_layer_norm)(const float*, const float*, const float*,
                               const float*, float*, int64_t, int64_t, float) =
       scalar::ResidualLayerNorm;
@@ -1025,14 +1137,15 @@ void AddSame(const float* a, const float* b, float* y, int64_t n) {
 float Dot(const float* a, const float* b, int64_t n) {
   return Table().dot(a, b, n);
 }
-void AttentionScores(const float* q, const float* k, float* scores,
-                     int64_t b, int64_t h, int64_t m, int64_t dh,
-                     float scale) {
-  Table().attention_scores(q, k, scores, b, h, m, dh, scale);
+void AttentionScores(const float* q, const float* wk, const float* keys,
+                     float* u, float* scores, int64_t b, int64_t h,
+                     int64_t m, int64_t dk, int64_t dh, float scale) {
+  Table().attention_scores(q, wk, keys, u, scores, b, h, m, dk, dh, scale);
 }
-void AttentionContext(const float* attn, const float* v, float* ctx,
-                      int64_t b, int64_t h, int64_t m, int64_t dh) {
-  Table().attention_context(attn, v, ctx, b, h, m, dh);
+void AttentionContext(const float* attn, const float* values, const float* wv,
+                      float* sv, float* ctx, int64_t b, int64_t h, int64_t m,
+                      int64_t dv, int64_t dh) {
+  Table().attention_context(attn, values, wv, sv, ctx, b, h, m, dv, dh);
 }
 void ResidualLayerNorm(const float* x, const float* residual,
                        const float* gain, const float* bias, float* y,

@@ -2,8 +2,10 @@
 //
 // The five hot primitives behind the encoder forward (MatMul, Bmm,
 // SoftmaxLastDim, RowNormalize, AddBiasRelu) plus the fused attention
-// helpers (AttentionScores / MaskedSoftmax / AttentionContext /
-// ResidualLayerNorm) operate on raw float buffers. One implementation is
+// helpers operate on raw float buffers: the absorbed single-query pair
+// AttentionScores (query folded through W_k) / AttentionContext (values
+// summed before W_v), which never project a key or value row, and
+// MaskedSoftmax / ResidualLayerNorm. One implementation is
 // selected per process at first use — AVX2 on x86-64 CPUs that support
 // it, NEON on aarch64, a portable blocked-scalar fallback otherwise — so
 // every caller in the process (ShardedEngine at any shard count, the
@@ -102,20 +104,29 @@ void AddSame(const float* a, const float* b, float* y, int64_t n);
 /// Blocked dot product (8-lane accumulation, fixed-tree combine).
 float Dot(const float* a, const float* b, int64_t n);
 
-/// Fused attention scores without head-split materialization:
-///   scores[(bi*h + hi)*m + s] =
-///       scale * dot(q[bi, hi*dh : (hi+1)*dh], k[bi, s, hi*dh : (hi+1)*dh])
-/// with q laid out {b, h*dh} and k laid out {b, m, h*dh} — the strided
-/// Bmm that replaces Permute+Reshape head splitting.
-void AttentionScores(const float* q, const float* k, float* scores,
-                     int64_t b, int64_t h, int64_t m, int64_t dh,
-                     float scale);
+/// Absorbed single-query attention scores. With one query per row,
+/// q_h . (W_k x)_h = (W_k[:, head h] q_h) . x, so the query is folded
+/// through the key projection once and no key row is ever projected:
+///   u[hi, i] = dot(wk[i, hi*dh : (hi+1)*dh], q[bi, hi*dh : (hi+1)*dh])
+///   scores[(bi*h + hi)*m + s] = scale * dot(keys[bi, s, :], u[hi, :])
+/// Both dots are blocked reductions. q is {b, h*dh} (the projected
+/// query), wk is the {dk, h*dh} key projection, keys is {b, m, dk} and
+/// shared by every head. `u` is caller scratch of h*dk floats, rewritten
+/// for each row.
+void AttentionScores(const float* q, const float* wk, const float* keys,
+                     float* u, float* scores, int64_t b, int64_t h,
+                     int64_t m, int64_t dk, int64_t dh, float scale);
 
-/// Fused attention context (the strided attn @ V):
-///   ctx[bi, hi*dh + j] = sum_s attn[(bi*h + hi)*m + s] * v[bi, s, hi*dh + j]
-/// accumulated serially over s, with v laid out {b, m, h*dh}.
-void AttentionContext(const float* attn, const float* v, float* ctx,
-                      int64_t b, int64_t h, int64_t m, int64_t dh);
+/// Absorbed attention context. sum_s a_s (W_v x_s) = W_v (sum_s a_s x_s),
+/// so the raw values are mixed first and projected once per head:
+///   sv[hi, i] = sum_s attn[(bi*h + hi)*m + s] * values[bi, s, i]
+///   ctx[bi, hi*dh + j] = sum_i sv[hi, i] * wv[i, hi*dh + j]
+/// both accumulated serially (the MatMul order). values is {b, m, dv} and
+/// shared by every head, wv is the {dv, h*dh} value projection. `sv` is
+/// caller scratch of h*dv floats, rewritten for each row.
+void AttentionContext(const float* attn, const float* values, const float* wv,
+                      float* sv, float* ctx, int64_t b, int64_t h, int64_t m,
+                      int64_t dv, int64_t dh);
 
 /// Fused residual-add + LayerNorm with learnable gain/bias:
 ///   t = x[r,:] + residual[r,:];  y = ((t - mean) / sqrt(var+eps)) * gain + bias
@@ -200,11 +211,12 @@ void AddBias(const float* x, const float* bias, float* y, int64_t rows,
              int64_t d);
 void AddSame(const float* a, const float* b, float* y, int64_t n);
 float Dot(const float* a, const float* b, int64_t n);
-void AttentionScores(const float* q, const float* k, float* scores,
-                     int64_t b, int64_t h, int64_t m, int64_t dh,
-                     float scale);
-void AttentionContext(const float* attn, const float* v, float* ctx,
-                      int64_t b, int64_t h, int64_t m, int64_t dh);
+void AttentionScores(const float* q, const float* wk, const float* keys,
+                     float* u, float* scores, int64_t b, int64_t h,
+                     int64_t m, int64_t dk, int64_t dh, float scale);
+void AttentionContext(const float* attn, const float* values, const float* wv,
+                      float* sv, float* ctx, int64_t b, int64_t h, int64_t m,
+                      int64_t dv, int64_t dh);
 void ResidualLayerNorm(const float* x, const float* residual,
                        const float* gain, const float* bias, float* y,
                        int64_t rows, int64_t d, float eps);

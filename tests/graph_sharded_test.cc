@@ -3,11 +3,13 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
 #include <span>
 #include <vector>
 
 #include "graph/sampling.h"
 #include "graph/temporal_graph.h"
+#include "graph/visible_prefix.h"
 #include "util/random.h"
 
 namespace apan {
@@ -170,6 +172,77 @@ TEST(ShardedTemporalGraphTest, OrdinalLimitMatchesPrefixGraph) {
         EXPECT_EQ(a[i].node, b[i].node);
         EXPECT_EQ(a[i].timestamp, b[i].timestamp);
       }
+    }
+  }
+}
+
+// ---- Tail-first visible-prefix search ---------------------------------------
+
+struct StampedEntry {
+  double timestamp = 0.0;
+  int64_t ordinal = 0;
+};
+
+/// The whole-row cut VisibleEnd replaces: the min of two lower_bounds.
+size_t LowerBoundVisibleEnd(const std::vector<StampedEntry>& row,
+                            double before_time, int64_t ordinal_limit) {
+  auto end = std::lower_bound(
+      row.begin(), row.end(), before_time,
+      [](const StampedEntry& e, double t) { return e.timestamp < t; });
+  if (ordinal_limit != std::numeric_limits<int64_t>::max()) {
+    end = std::min(end, std::lower_bound(row.begin(), row.end(),
+                                         ordinal_limit,
+                                         [](const StampedEntry& e, int64_t l) {
+                                           return e.ordinal < l;
+                                         }));
+  }
+  return static_cast<size_t>(end - row.begin());
+}
+
+TEST(VisiblePrefixProperty, TailSearchMatchesLowerBoundAtEveryHorizon) {
+  constexpr int64_t kNoLimit = std::numeric_limits<int64_t>::max();
+  Rng rng(77);
+  for (const size_t n : {0, 1, 2, 3, 7, 8, 9, 64, 257}) {
+    for (int trial = 0; trial < 4; ++trial) {
+      // Time-sorted with ties (several entries per timestamp), ordinals
+      // strictly increasing: the shape of a slice's adjacency row.
+      std::vector<StampedEntry> row(n);
+      double t = rng.Uniform(-5.0, 5.0);
+      int64_t ordinal = static_cast<int64_t>(rng.UniformInt(4));
+      for (auto& e : row) {
+        t += 0.5 * static_cast<double>(rng.UniformInt(3));
+        ordinal += 1 + static_cast<int64_t>(rng.UniformInt(3));
+        e = {t, ordinal};
+      }
+      // Horizons at, just past, below and above every entry, so the cut
+      // lands on every position 0..n, including none- and all-visible.
+      std::vector<double> times = {-1e300, 1e300};
+      std::vector<int64_t> limits = {0, kNoLimit, kNoLimit - 1};
+      for (const auto& e : row) {
+        times.push_back(e.timestamp);
+        times.push_back(e.timestamp + 0.25);
+        limits.push_back(e.ordinal);
+        limits.push_back(e.ordinal + 1);
+      }
+      std::vector<bool> cut_seen(n + 1, false);
+      for (const double before : times) {
+        const auto by_time = [before](const StampedEntry& e) {
+          return e.timestamp < before;
+        };
+        ASSERT_EQ(TailPartitionPoint(row, by_time),
+                  static_cast<size_t>(std::partition_point(row.begin(),
+                                                           row.end(), by_time) -
+                                      row.begin()));
+        for (const int64_t limit : limits) {
+          const size_t want = LowerBoundVisibleEnd(row, before, limit);
+          ASSERT_EQ(VisibleEnd(row, before, limit), want)
+              << "n=" << n << " before=" << before << " limit=" << limit;
+          cut_seen[want] = true;
+        }
+      }
+      EXPECT_EQ(std::count(cut_seen.begin(), cut_seen.end(), true),
+                static_cast<std::ptrdiff_t>(n + 1))
+          << "some horizon position was never exercised, n=" << n;
     }
   }
 }

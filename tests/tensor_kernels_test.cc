@@ -12,6 +12,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <cstring>
@@ -231,22 +232,90 @@ TEST(KernelParityTest, DotMatchesScalarBitwiseAndReferenceUlp) {
 }
 
 TEST(KernelParityTest, AttentionKernelsMatchScalarBitwise) {
+  // Absorbed layout: keys/values {b, m, dk|dv} shared by every head,
+  // projections {dk|dv, h*dh}. Shapes cover the paper's (d = 32, h = 2,
+  // m = 10), widths that leave a partial 8-lane block (dh = 6, dk = 13,
+  // dv = 11), m = 1, and m past one eight-row block (m = 17).
   Rng rng(8);
-  const int64_t b = 6, h = 2, m = 10, dh = 16;
-  const auto q = RandomVec(static_cast<size_t>(b * h * dh), &rng);
-  const auto k = RandomVec(static_cast<size_t>(b * m * h * dh), &rng);
-  std::vector<float> s_d(static_cast<size_t>(b * h * m)), s_s(s_d.size());
-  kernels::AttentionScores(q.data(), k.data(), s_d.data(), b, h, m, dh,
-                           0.25f);
-  kernels::scalar::AttentionScores(q.data(), k.data(), s_s.data(), b, h, m,
-                                   dh, 0.25f);
-  ExpectBitwise(s_d, s_s, "AttentionScores vs scalar");
+  const struct {
+    int64_t b, h, m, dk, dv, dh;
+  } shapes[] = {{6, 2, 10, 32, 32, 16}, {5, 4, 10, 24, 24, 6},
+                {3, 1, 1, 13, 11, 7},   {4, 2, 17, 9, 20, 8},
+                {2, 3, 8, 40, 5, 3}};
+  for (const auto& c : shapes) {
+    const int64_t d = c.h * c.dh;
+    const auto q = RandomVec(static_cast<size_t>(c.b * d), &rng);
+    const auto wk = RandomVec(static_cast<size_t>(c.dk * d), &rng);
+    const auto wv = RandomVec(static_cast<size_t>(c.dv * d), &rng);
+    const auto keys = RandomVec(static_cast<size_t>(c.b * c.m * c.dk), &rng);
+    const auto values =
+        RandomVec(static_cast<size_t>(c.b * c.m * c.dv), &rng);
+    std::vector<float> scratch(static_cast<size_t>(c.h * std::max(c.dk, c.dv)));
+    std::vector<float> s_d(static_cast<size_t>(c.b * c.h * c.m)),
+        s_s(s_d.size());
+    kernels::AttentionScores(q.data(), wk.data(), keys.data(), scratch.data(),
+                             s_d.data(), c.b, c.h, c.m, c.dk, c.dh, 0.25f);
+    kernels::scalar::AttentionScores(q.data(), wk.data(), keys.data(),
+                                     scratch.data(), s_s.data(), c.b, c.h,
+                                     c.m, c.dk, c.dh, 0.25f);
+    ExpectBitwise(s_d, s_s, "AttentionScores vs scalar");
 
-  std::vector<float> c_d(static_cast<size_t>(b * h * dh)), c_s(c_d.size());
-  kernels::AttentionContext(s_d.data(), k.data(), c_d.data(), b, h, m, dh);
-  kernels::scalar::AttentionContext(s_d.data(), k.data(), c_s.data(), b, h,
-                                    m, dh);
-  ExpectBitwise(c_d, c_s, "AttentionContext vs scalar");
+    std::vector<float> c_d(static_cast<size_t>(c.b * d)), c_s(c_d.size());
+    kernels::AttentionContext(s_d.data(), values.data(), wv.data(),
+                              scratch.data(), c_d.data(), c.b, c.h, c.m, c.dv,
+                              c.dh);
+    kernels::scalar::AttentionContext(s_d.data(), values.data(), wv.data(),
+                                      scratch.data(), c_s.data(), c.b, c.h,
+                                      c.m, c.dv, c.dh);
+    ExpectBitwise(c_d, c_s, "AttentionContext vs scalar");
+  }
+}
+
+TEST(KernelParityTest, AbsorbedAttentionMatchesProjectFirst) {
+  // The absorbed kernels compute the projection-first attention up to
+  // reassociation: scale * q_h . (K W_k)_h and sum_s a_s (V W_v)_h.
+  Rng rng(10);
+  const int64_t b = 4, h = 2, m = 10, dk = 12, dv = 20, dh = 8, d = h * dh;
+  const float scale = 0.3f;
+  const auto q = RandomVec(static_cast<size_t>(b * d), &rng);
+  const auto wk = RandomVec(static_cast<size_t>(dk * d), &rng);
+  const auto wv = RandomVec(static_cast<size_t>(dv * d), &rng);
+  const auto keys = RandomVec(static_cast<size_t>(b * m * dk), &rng);
+  const auto values = RandomVec(static_cast<size_t>(b * m * dv), &rng);
+  const auto attn = RandomVec(static_cast<size_t>(b * h * m), &rng);
+  std::vector<float> kp(static_cast<size_t>(b * m * d)), vp(kp.size());
+  kernels::reference::MatMul(keys.data(), wk.data(), kp.data(), b * m, dk, d);
+  kernels::reference::MatMul(values.data(), wv.data(), vp.data(), b * m, dv,
+                             d);
+  std::vector<float> want_s(static_cast<size_t>(b * h * m));
+  std::vector<float> want_c(static_cast<size_t>(b * d), 0.0f);
+  for (int64_t bi = 0; bi < b; ++bi) {
+    for (int64_t hi = 0; hi < h; ++hi) {
+      for (int64_t s = 0; s < m; ++s) {
+        const float* krow = kp.data() + (bi * m + s) * d + hi * dh;
+        const float* vrow = vp.data() + (bi * m + s) * d + hi * dh;
+        const float a = attn[static_cast<size_t>((bi * h + hi) * m + s)];
+        want_s[static_cast<size_t>((bi * h + hi) * m + s)] =
+            scale * kernels::reference::Dot(q.data() + bi * d + hi * dh, krow,
+                                            dh);
+        for (int64_t j = 0; j < dh; ++j) {
+          want_c[static_cast<size_t>(bi * d + hi * dh + j)] += a * vrow[j];
+        }
+      }
+    }
+  }
+  std::vector<float> scratch(static_cast<size_t>(h * std::max(dk, dv)));
+  std::vector<float> got_s(want_s.size()), got_c(want_c.size());
+  kernels::AttentionScores(q.data(), wk.data(), keys.data(), scratch.data(),
+                           got_s.data(), b, h, m, dk, dh, scale);
+  kernels::AttentionContext(attn.data(), values.data(), wv.data(),
+                            scratch.data(), got_c.data(), b, h, m, dv, dh);
+  for (size_t i = 0; i < want_s.size(); ++i) {
+    EXPECT_NEAR(got_s[i], want_s[i], 1e-4f * (1.0f + std::abs(want_s[i])));
+  }
+  for (size_t i = 0; i < want_c.size(); ++i) {
+    EXPECT_NEAR(got_c[i], want_c[i], 1e-4f * (1.0f + std::abs(want_c[i])));
+  }
 }
 
 TEST(KernelParityTest, ResidualLayerNormMatchesScalarAndComposedOps) {
@@ -437,23 +506,17 @@ TEST(BackwardKernelTest, AccumulateFamilyMatchesSerialLoops) {
 
 // ---- Fused inference paths vs generic graphs --------------------------------
 
-TEST(FusedForwardTest, AttentionInferenceMatchesTrainingGraph) {
-  Rng rng(11);
-  nn::MultiHeadAttention mha(32, 2, &rng);
-  Tensor q = Tensor::Randn({7, 32}, &rng);
-  Tensor kv = Tensor::Randn({7, 10, 32}, &rng);
-  std::vector<float> mask(70, 0.0f);
-  for (int64_t b = 0; b < 7; ++b) {
-    for (int64_t s = 4 + (b % 3); s < 10; ++s) {
-      mask[static_cast<size_t>(b * 10 + s)] =
-          nn::MultiHeadAttention::kMaskedOut;
-    }
-  }
-  nn::AttentionOutput generic = mha.Forward(q, kv, kv, &mask);
+/// Runs `mha` on the training graph and on the fused serve path and
+/// holds them to the fused-vs-generic tolerances.
+void ExpectFusedAttentionMatchesGeneric(const nn::MultiHeadAttention& mha,
+                                        const Tensor& q, const Tensor& keys,
+                                        const Tensor& values,
+                                        const std::vector<float>* mask) {
+  nn::AttentionOutput generic = mha.Forward(q, keys, values, mask);
   nn::AttentionOutput fused;
   {
     tensor::NoGradGuard no_grad;
-    fused = mha.Forward(q, kv, kv, &mask);
+    fused = mha.Forward(q, keys, values, mask);
   }
   ASSERT_EQ(fused.output.shape(), generic.output.shape());
   ASSERT_EQ(fused.weights.shape(), generic.weights.shape());
@@ -462,6 +525,70 @@ TEST(FusedForwardTest, AttentionInferenceMatchesTrainingGraph) {
   }
   for (int64_t i = 0; i < generic.weights.numel(); ++i) {
     EXPECT_NEAR(fused.weights.item(i), generic.weights.item(i), 1e-4f);
+  }
+}
+
+/// Padding mask over {b, m}: row r keeps its first 4 + r % 3 slots.
+std::vector<float> PaddingMask(int64_t b, int64_t m) {
+  std::vector<float> mask(static_cast<size_t>(b * m), 0.0f);
+  for (int64_t r = 0; r < b; ++r) {
+    for (int64_t s = std::min(m, 4 + r % 3); s < m; ++s) {
+      mask[static_cast<size_t>(r * m + s)] = nn::MultiHeadAttention::kMaskedOut;
+    }
+  }
+  return mask;
+}
+
+TEST(FusedForwardTest, AttentionInferenceMatchesTrainingGraph) {
+  Rng rng(11);
+  nn::MultiHeadAttention mha(32, 2, &rng);
+  Tensor q = Tensor::Randn({7, 32}, &rng);
+  Tensor kv = Tensor::Randn({7, 10, 32}, &rng);
+  const std::vector<float> mask = PaddingMask(7, 10);
+  ExpectFusedAttentionMatchesGeneric(mha, q, kv, kv, &mask);
+}
+
+TEST(FusedForwardTest, AttentionDistinctKeysAndValuesMatchTrainingGraph) {
+  // Keys and values are different tensors of different widths, and the
+  // query has its own width too: nothing in the absorbed form may
+  // assume keys == values.
+  Rng rng(12);
+  nn::MultiHeadAttention mha(32, 2, &rng, /*key_dim=*/20, /*value_dim=*/12,
+                             /*query_dim=*/16);
+  Tensor q = Tensor::Randn({6, 16}, &rng);
+  Tensor keys = Tensor::Randn({6, 10, 20}, &rng);
+  Tensor values = Tensor::Randn({6, 10, 12}, &rng);
+  const std::vector<float> mask = PaddingMask(6, 10);
+  ExpectFusedAttentionMatchesGeneric(mha, q, keys, values, &mask);
+  ExpectFusedAttentionMatchesGeneric(mha, q, keys, values, nullptr);
+}
+
+TEST(FusedForwardTest, AttentionAllMaskedRowMatchesTrainingGraph) {
+  Rng rng(13);
+  nn::MultiHeadAttention mha(32, 2, &rng);
+  Tensor q = Tensor::Randn({4, 32}, &rng);
+  Tensor kv = Tensor::Randn({4, 10, 32}, &rng);
+  std::vector<float> mask = PaddingMask(4, 10);
+  for (int64_t s = 0; s < 10; ++s) {
+    mask[static_cast<size_t>(2 * 10 + s)] = nn::MultiHeadAttention::kMaskedOut;
+  }
+  ExpectFusedAttentionMatchesGeneric(mha, q, kv, kv, &mask);
+}
+
+TEST(FusedForwardTest, AttentionHeadCountsAndWidthsMatchTrainingGraph) {
+  // h = 1 and h = 4 at d = 32, and d = 24 (head widths 12 and 6: partial
+  // 8-lane blocks in every absorbed reduction).
+  const struct {
+    int64_t d, h;
+  } configs[] = {{32, 1}, {32, 4}, {24, 2}, {24, 4}};
+  for (const auto& c : configs) {
+    SCOPED_TRACE(testing::Message() << "d=" << c.d << " h=" << c.h);
+    Rng rng(14);
+    nn::MultiHeadAttention mha(c.d, c.h, &rng);
+    Tensor q = Tensor::Randn({5, c.d}, &rng);
+    Tensor kv = Tensor::Randn({5, 10, c.d}, &rng);
+    const std::vector<float> mask = PaddingMask(5, 10);
+    ExpectFusedAttentionMatchesGeneric(mha, q, kv, kv, &mask);
   }
 }
 
