@@ -17,9 +17,9 @@
 // breakdowns into BENCH_fig10.json:
 //
 //   stages     per-shard worker time split into append / sample /
-//              frontier_wait / frontier_serve / propagate / route /
-//              merge / idle (disjoint by construction; coverage_pct says
-//              how much of num_shards x wall time they account for);
+//              frontier_wait / propagate / route / merge / finalize /
+//              idle (disjoint by construction; coverage_pct says how
+//              much of num_shards x wall time they account for);
 //   transport  frames / bytes / write syscalls per directed shard lane.
 //
 // --transport selects the shard-to-shard messaging plane:
@@ -163,8 +163,8 @@ RunResult Replay(apan::serve::ShardedEngine& engine,
 /// The disjoint per-worker stages (docs/observability.md). Order is the
 /// life of a batch on the worker; idle last.
 constexpr const char* kWorkerStages[] = {
-    "append",    "sample", "frontier_wait", "frontier_serve", "propagate",
-    "route",     "merge",  "finalize",      "idle"};
+    "append", "sample",   "frontier_wait", "propagate",
+    "route",  "merge",    "finalize",      "idle"};
 
 StageBreakdown CollectStages(const apan::obs::Registry::Snapshot& snap,
                              int shards, const std::string& transport,

@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "graph/visible_prefix.h"
+#include "util/stopwatch.h"
 
 namespace apan {
 namespace graph {
@@ -24,7 +25,9 @@ ShardedTemporalGraph::ShardedTemporalGraph(
   slices_.reserve(static_cast<size_t>(num_shards_));
   for (int s = 0; s < num_shards_; ++s) {
     slices_.push_back(std::make_unique<Slice>());
-    slices_.back()->rows.resize(
+    Slice& slice = *slices_.back();
+    util::MutexLock lock(slice.mu);
+    slice.rows.resize(
         static_cast<size_t>(partition_->owned_count[static_cast<size_t>(s)]));
   }
 }
@@ -33,10 +36,11 @@ void ShardedTemporalGraph::ResetSlice(int shard) {
   APAN_CHECK_MSG(shard >= 0 && shard < num_shards_,
                  "shard id out of range in ResetSlice");
   Slice& slice = *slices_[static_cast<size_t>(shard)];
+  util::MutexLock lock(slice.mu);
   for (auto& row : slice.rows) row.clear();
   slice.homed_events.clear();
   slice.latest_timestamp = -std::numeric_limits<double>::infinity();
-  slice.watermark.store(0, std::memory_order_release);
+  slice.watermark = 0;
 }
 
 ShardedTemporalGraph::SliceCheckpoint ShardedTemporalGraph::ExportSlice(
@@ -44,6 +48,7 @@ ShardedTemporalGraph::SliceCheckpoint ShardedTemporalGraph::ExportSlice(
   APAN_CHECK_MSG(shard >= 0 && shard < num_shards_,
                  "shard id out of range in ExportSlice");
   const Slice& slice = *slices_[static_cast<size_t>(shard)];
+  util::MutexLock lock(slice.mu);
   SliceCheckpoint out;
   out.rows.resize(slice.rows.size());
   for (size_t r = 0; r < slice.rows.size(); ++r) {
@@ -54,7 +59,7 @@ ShardedTemporalGraph::SliceCheckpoint ShardedTemporalGraph::ExportSlice(
   }
   out.homed_events = slice.homed_events;
   out.latest_timestamp = slice.latest_timestamp;
-  out.watermark = slice.watermark.load(std::memory_order_acquire);
+  out.watermark = slice.watermark;
   return out;
 }
 
@@ -63,6 +68,7 @@ Status ShardedTemporalGraph::RestoreSlice(int shard,
   APAN_CHECK_MSG(shard >= 0 && shard < num_shards_,
                  "shard id out of range in RestoreSlice");
   Slice& slice = *slices_[static_cast<size_t>(shard)];
+  util::MutexLock lock(slice.mu);
   if (checkpoint.rows.size() != slice.rows.size()) {
     return Status::InvalidArgument(internal::StrCat(
         "slice restore: checkpoint has ", checkpoint.rows.size(),
@@ -106,7 +112,8 @@ Status ShardedTemporalGraph::RestoreSlice(int shard,
   }
   slice.homed_events = checkpoint.homed_events;
   slice.latest_timestamp = checkpoint.latest_timestamp;
-  slice.watermark.store(checkpoint.watermark, std::memory_order_release);
+  slice.watermark = checkpoint.watermark;
+  slice.appended.NotifyAll();
   return Status::OK();
 }
 
@@ -116,7 +123,8 @@ Status ShardedTemporalGraph::AppendBatchSlice(int shard, int64_t batch,
   APAN_CHECK_MSG(shard >= 0 && shard < num_shards_,
                  "shard id out of range in AppendBatchSlice");
   Slice& slice = *slices_[static_cast<size_t>(shard)];
-  const int64_t expected = slice.watermark.load(std::memory_order_relaxed);
+  util::MutexLock lock(slice.mu);
+  const int64_t expected = slice.watermark;
   if (batch != expected) {
     return Status::FailedPrecondition(internal::StrCat(
         "out-of-order slice append: batch ", batch, " on shard ", shard,
@@ -160,14 +168,23 @@ Status ShardedTemporalGraph::AppendBatchSlice(int shard, int64_t batch,
           .push_back({event.src, edge_id, event.timestamp, ordinal});
     }
   }
-  slice.watermark.store(batch + 1, std::memory_order_release);
+  slice.watermark = batch + 1;
+  slice.appended.NotifyAll();
   return Status::OK();
+}
+
+int64_t ShardedTemporalGraph::watermark(int shard) const {
+  const Slice& slice = *slices_[static_cast<size_t>(shard)];
+  util::MutexLock lock(slice.mu);
+  return slice.watermark;
 }
 
 std::vector<TemporalNeighbor> ShardedTemporalGraph::NeighborsBeforeAsOf(
     NodeId node, double before_time, int64_t ordinal_limit) const {
   if (!ValidNode(node)) return {};
-  const auto& row = RowOf(node);
+  const Slice& slice = SliceOf(node);
+  util::MutexLock lock(slice.mu);
+  const auto& row = RowIn(slice, node);
   const size_t end = VisibleEnd(row, before_time, ordinal_limit);
   std::vector<TemporalNeighbor> out;
   out.reserve(end);
@@ -181,15 +198,41 @@ std::vector<TemporalNeighbor> ShardedTemporalGraph::MostRecentNeighborsAsOf(
     NodeId node, double before_time, int64_t k,
     int64_t ordinal_limit) const {
   std::vector<TemporalNeighbor> out;
-  AppendMostRecentNeighborsAsOf(node, before_time, k, ordinal_limit, &out);
+  if (!ValidNode(node)) return out;
+  const Slice& slice = SliceOf(node);
+  util::MutexLock lock(slice.mu);
+  AppendMostRecent(RowIn(slice, node), before_time, k, ordinal_limit, &out);
   return out;
 }
 
-void ShardedTemporalGraph::AppendMostRecentNeighborsAsOf(
-    NodeId node, double before_time, int64_t k, int64_t ordinal_limit,
-    std::vector<TemporalNeighbor>* out) const {
-  if (!ValidNode(node) || k <= 0) return;
-  const auto& row = RowOf(node);
+double ShardedTemporalGraph::SampleAsOf(int shard, int64_t batch,
+                                        std::span<const SampleQuery> queries,
+                                        int64_t k, int64_t ordinal_limit,
+                                        NeighborRows* out) const {
+  APAN_CHECK_MSG(shard >= 0 && shard < num_shards_,
+                 "shard id out of range in SampleAsOf");
+  const Slice& slice = *slices_[static_cast<size_t>(shard)];
+  util::MutexLock lock(slice.mu);
+  double waited_ms = 0.0;
+  if (slice.watermark < batch) {
+    Stopwatch wait;
+    while (slice.watermark < batch) slice.appended.Wait(slice.mu);
+    waited_ms = wait.ElapsedMillis();
+  }
+  for (const SampleQuery& query : queries) {
+    APAN_CHECK_MSG(ValidNode(query.node) && OwnerOf(query.node) == shard,
+                   "SampleAsOf query names a node the slice does not own");
+    AppendMostRecent(RowIn(slice, query.node), query.before_time, k,
+                     ordinal_limit, &out->entries);
+    out->EndRow();
+  }
+  return waited_ms;
+}
+
+void ShardedTemporalGraph::AppendMostRecent(
+    const std::vector<Entry>& row, double before_time, int64_t k,
+    int64_t ordinal_limit, std::vector<TemporalNeighbor>* out) {
+  if (k <= 0) return;
   const size_t end = VisibleEnd(row, before_time, ordinal_limit);
   const size_t take = std::min(static_cast<size_t>(k), end);
   for (size_t i = end - take; i < end; ++i) {
@@ -199,24 +242,26 @@ void ShardedTemporalGraph::AppendMostRecentNeighborsAsOf(
 
 int64_t ShardedTemporalGraph::Degree(NodeId node) const {
   if (!ValidNode(node)) return 0;
-  return static_cast<int64_t>(RowOf(node).size());
+  const Slice& slice = SliceOf(node);
+  util::MutexLock lock(slice.mu);
+  return static_cast<int64_t>(RowIn(slice, node).size());
 }
 
 int64_t ShardedTemporalGraph::num_events() const {
   int64_t total = 0;
-  for (const auto& slice : slices_) {
-    total += static_cast<int64_t>(slice->homed_events.size());
-  }
+  for (int s = 0; s < num_shards_; ++s) total += SliceEventCount(s);
   return total;
 }
 
 int64_t ShardedTemporalGraph::SliceEventCount(int shard) const {
-  return static_cast<int64_t>(
-      slices_[static_cast<size_t>(shard)]->homed_events.size());
+  const Slice& slice = *slices_[static_cast<size_t>(shard)];
+  util::MutexLock lock(slice.mu);
+  return static_cast<int64_t>(slice.homed_events.size());
 }
 
 int64_t ShardedTemporalGraph::SliceMemoryBytes(int shard) const {
   const Slice& slice = *slices_[static_cast<size_t>(shard)];
+  util::MutexLock lock(slice.mu);
   int64_t bytes =
       static_cast<int64_t>(slice.homed_events.size() * sizeof(Event));
   for (const auto& row : slice.rows) {

@@ -16,38 +16,36 @@
 // "events before batch b" sees exactly the graph the bulk-synchronous
 // epoch gate used to expose — even while other shards run ahead appending
 // later batches into their own slices. The per-slice watermark (number of
-// batches appended) is what a reader checks before touching a foreign
-// slice; serve::ShardedEngine routes such reads to the owner shard as
-// frontier-request messages instead of reading remotely.
+// batches appended) is what a reader of a foreign slice waits on:
+// SampleAsOf blocks until the slice has appended batches 0..b-1, then
+// samples under the slice lock (serve::ShardedEngine's k-hop expansion).
 //
-// Thread contract: slice s is appended and read by one thread (its owner
-// shard's worker). watermark() is an atomic published by the appender so
-// other threads may poll it. The whole-graph inspectors (num_events,
-// MemoryBytes, Degree, reads with kNoOrdinalLimit) are for quiescent use
-// (tests, benches, post-Flush accounting).
-//
-// This confinement discipline is deliberately lock-free, so the clang
-// thread-safety analysis (util/thread_annotations.h) has nothing to check
-// here: the invariant "slice s touched only by worker s" lives in
-// ShardedEngine's routing (every slice mutation happens on the owner's
-// thread via its inbox) and is soaked under TSan, not proved per-access.
-// docs/static-analysis.md explains the split between annotated-lock state
-// and confined state.
+// Thread contract: each slice has one lock (Slice::mu) guarding its rows,
+// event log, latest timestamp and watermark, and a condition variable
+// signalled after every append. Every method takes the lock of the slice
+// it touches, so appends (the owner shard's worker) and reads (any
+// thread) may run concurrently. The lock is a leaf: it is released while
+// waiting for the watermark and never held while another lock is taken.
+// The whole-graph inspectors (num_events, MemoryBytes, Degree) lock one
+// slice at a time, so they are exact only at quiescent points (tests,
+// benches, post-Flush accounting). docs/static-analysis.md lists the
+// slice lock in the annotated lock hierarchy.
 
 #ifndef APAN_GRAPH_SHARDED_TEMPORAL_GRAPH_H_
 #define APAN_GRAPH_SHARDED_TEMPORAL_GRAPH_H_
 
-#include <atomic>
 #include <cstdint>
 #include <limits>
 #include <memory>
 #include <span>
 #include <vector>
 
+#include "graph/csr_rows.h"
 #include "graph/node_partition.h"
 #include "graph/temporal_graph.h"
 #include "util/random.h"
 #include "util/status.h"
+#include "util/thread_annotations.h"
 
 namespace apan {
 namespace graph {
@@ -99,8 +97,9 @@ class ShardedTemporalGraph {
   ///
   /// `batch` must be the slice's next unappended batch (== watermark) and
   /// `base_ordinal` the global index of events[0]; on success the slice's
-  /// watermark advances to batch + 1. Events must be in non-decreasing
-  /// timestamp order, both within the span and across batches.
+  /// watermark advances to batch + 1 and every reader waiting for it in
+  /// SampleAsOf wakes. Events must be in non-decreasing timestamp order,
+  /// both within the span and across batches.
   /// \return InvalidArgument for bad endpoints, FailedPrecondition for an
   ///         out-of-order batch or timestamp.
   Status AppendBatchSlice(int shard, int64_t batch,
@@ -109,9 +108,8 @@ class ShardedTemporalGraph {
 
   /// \brief Resets one slice to its freshly-constructed state: adjacency
   /// rows and homed event log emptied, latest timestamp back to -inf,
-  /// watermark back to 0. Thread contract as AppendBatchSlice: call only
-  /// from the slice owner's thread (serve::ShardedEngine routes epoch
-  /// resets through each shard's worker for exactly this reason).
+  /// watermark back to 0. Call at a quiescent point: a reader waiting for
+  /// a batch the reset rewinds past would wait for its re-append.
   void ResetSlice(int shard);
 
   /// \brief One slice's full contents in checkpointable form — the
@@ -133,22 +131,18 @@ class ShardedTemporalGraph {
     int64_t watermark = 0;
   };
 
-  /// Copies out slice `shard` (owner-thread contract as AppendBatchSlice).
+  /// Copies out slice `shard`.
   SliceCheckpoint ExportSlice(int shard) const;
 
   /// \brief Replaces slice `shard` with a decoded checkpoint. The row
   /// count must match this graph's ownership for the shard and every
   /// entry must name a valid node with sorted (timestamp, ordinal) rows;
-  /// a violation returns InvalidArgument with the slice untouched. Same
-  /// owner-thread contract as AppendBatchSlice/ResetSlice.
+  /// a violation returns InvalidArgument with the slice untouched. Call at
+  /// a quiescent point, like ResetSlice.
   Status RestoreSlice(int shard, const SliceCheckpoint& checkpoint);
 
-  /// Batches appended into `shard`'s slice. Written by the slice's owner
-  /// thread, readable from anywhere.
-  int64_t watermark(int shard) const {
-    return slices_[static_cast<size_t>(shard)]->watermark.load(
-        std::memory_order_acquire);
-  }
+  /// Batches appended into `shard`'s slice.
+  int64_t watermark(int shard) const;
 
   /// \brief All neighbors of `node` with timestamp strictly before
   /// `before_time` AND creating-event ordinal strictly below
@@ -162,12 +156,23 @@ class ShardedTemporalGraph {
       NodeId node, double before_time, int64_t k,
       int64_t ordinal_limit) const;
 
-  /// \brief MostRecentNeighborsAsOf appended to `out` instead of returned
-  /// — the allocation-free read a shard worker samples into its reused
-  /// buffers.
-  void AppendMostRecentNeighborsAsOf(
-      NodeId node, double before_time, int64_t k, int64_t ordinal_limit,
-      std::vector<TemporalNeighbor>* out) const;
+  /// One node to sample, as the graph stood before `before_time`.
+  struct SampleQuery {
+    NodeId node = -1;
+    double before_time = 0.0;
+  };
+
+  /// \brief Samples many nodes of slice `shard` as of batch `batch`: waits
+  /// until the slice has appended batches 0..batch-1 (watermark >= batch),
+  /// then, under one acquisition of the slice lock, appends one row per
+  /// query to `out` — MostRecentNeighborsAsOf(query.node,
+  /// query.before_time, k, ordinal_limit). Every query must name a node
+  /// the slice owns (CHECK-enforced). Allocation-free once `out` is warm.
+  /// \return milliseconds spent waiting for the watermark (0 when the
+  ///   slice was already far enough; no clock is read then).
+  double SampleAsOf(int shard, int64_t batch,
+                    std::span<const SampleQuery> queries, int64_t k,
+                    int64_t ordinal_limit, NeighborRows* out) const;
 
   /// Stored occurrences of `node` (quiescent inspector).
   int64_t Degree(NodeId node) const;
@@ -199,24 +204,40 @@ class ShardedTemporalGraph {
   };
 
   struct Slice {
+    /// Leaf lock over everything below (see the thread contract above).
+    mutable util::Mutex mu;
+    /// Signalled after every append and restore: readers in SampleAsOf
+    /// wait here for the watermark.
+    mutable util::CondVar appended;
     /// rows[local_row_[v]] = v's occurrences, ordinal- and time-sorted.
-    std::vector<std::vector<Entry>> rows;
+    std::vector<std::vector<Entry>> rows APAN_GUARDED_BY(mu);
     /// Event-log entries homed on this shard, in append order.
-    std::vector<Event> homed_events;
+    std::vector<Event> homed_events APAN_GUARDED_BY(mu);
     /// -inf so the first appended event passes the monotonicity check at
     /// any timestamp, matching TemporalGraph::AddEvent's first-event rule.
-    double latest_timestamp = -std::numeric_limits<double>::infinity();
-    std::atomic<int64_t> watermark{0};
+    double latest_timestamp APAN_GUARDED_BY(mu) =
+        -std::numeric_limits<double>::infinity();
+    int64_t watermark APAN_GUARDED_BY(mu) = 0;
   };
 
   bool ValidNode(NodeId node) const {
     return node >= 0 && node < num_nodes_;
   }
-  const std::vector<Entry>& RowOf(NodeId node) const {
-    return slices_[static_cast<size_t>(OwnerOf(node))]
-        ->rows[static_cast<size_t>(
-            partition_->local_row[static_cast<size_t>(node)])];
+  const Slice& SliceOf(NodeId node) const {
+    return *slices_[static_cast<size_t>(OwnerOf(node))];
   }
+  /// `node`'s row in `slice`, which must be its owner's.
+  const std::vector<Entry>& RowIn(const Slice& slice, NodeId node) const
+      APAN_REQUIRES(slice.mu) {
+    return slice.rows[static_cast<size_t>(
+        partition_->local_row[static_cast<size_t>(node)])];
+  }
+  /// The `k` newest entries of `row`'s visible prefix, appended to `out`
+  /// oldest first.
+  static void AppendMostRecent(const std::vector<Entry>& row,
+                               double before_time, int64_t k,
+                               int64_t ordinal_limit,
+                               std::vector<TemporalNeighbor>* out);
 
   int num_shards_;
   int64_t num_nodes_;

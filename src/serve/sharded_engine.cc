@@ -1,11 +1,9 @@
 #include "serve/sharded_engine.h"
 
 #include <algorithm>
-#include <chrono>
 #include <cmath>
 #include <limits>
 #include <memory>
-#include <optional>
 #include <set>
 #include <span>
 #include <tuple>
@@ -81,8 +79,6 @@ ShardedEngine::ShardedEngine(core::ApanModel* model, Options options)
   ins_.stage_sample = registry_->GetHistogram("stage.sample", ns);
   ins_.stage_frontier_wait =
       registry_->GetHistogram("stage.frontier_wait", ns);
-  ins_.stage_frontier_serve =
-      registry_->GetHistogram("stage.frontier_serve", ns);
   ins_.stage_propagate = registry_->GetHistogram("stage.propagate", ns);
   ins_.stage_route = registry_->GetHistogram("stage.route", ns);
   ins_.stage_idle = registry_->GetHistogram("stage.idle", ns);
@@ -106,9 +102,6 @@ ShardedEngine::ShardedEngine(core::ApanModel* model, Options options)
     auto shard = std::make_unique<Shard>();
     shard->store = std::make_unique<core::NodeStateStore>(
         partition_, s, config.mailbox_slots, config.embedding_dim);
-    shard->accepted_request.assign(
-        static_cast<size_t>(options_.num_shards), ExpansionKey{-1, 0});
-    shard->outbound.resize(static_cast<size_t>(options_.num_shards));
     shards_.push_back(std::move(shard));
   }
   // Per-lane transport accounting: one counter cell per directed
@@ -124,8 +117,8 @@ ShardedEngine::ShardedEngine(core::ApanModel* model, Options options)
   tmetrics.send_failures =
       registry_->GetCounter("transport.send_failures", ns * ns);
   transport_->SetMetrics(tmetrics);
-  // The transport comes up before the workers: a worker's very first
-  // expansion may Send.
+  // The transport comes up before the workers: a worker's very first job
+  // may Send.
   const Status transport_up = transport_->Start(
       options_.num_shards, [this](int to_shard, ShardMessage message) {
         EnqueueMessage(to_shard, std::move(message));
@@ -416,7 +409,7 @@ Result<ShardedEngine::InferenceResult> ShardedEngine::InferBatch(
         ShardPartial empty;
         empty.batch = ctx->batch;
         empty.from_shard = s;
-        EnqueueMessage(t, ShardMessage(std::move(empty)));
+        EnqueueMessage(t, std::move(empty));
       }
       continue;
     }
@@ -439,7 +432,7 @@ Result<ShardedEngine::InferenceResult> ShardedEngine::InferBatch(
 
 void ShardedEngine::WorkerLoop(int shard_id) {
   Shard& shard = *shards_[static_cast<size_t>(shard_id)];
-  std::deque<ShardMessage> mail_run;
+  std::deque<ShardPartial> mail_run;
   while (true) {
     BatchJob job;
     enum { kNone, kMessages, kJob } next = kNone;
@@ -464,12 +457,9 @@ void ShardedEngine::WorkerLoop(int shard_id) {
           }
         }
       }
-      // Messages first: applying a finished batch or answering a frontier
-      // request is cheap and unblocks other shards; jobs do the expensive
-      // sampling. The whole queued run is taken at once: no message
-      // handler ever blocks on a peer, so every response and partial the
-      // run buffers rides ONE coalesced frame per peer at the end of the
-      // run instead of one frame per handled message.
+      // Messages first: applying a finished batch is cheap and frees its
+      // partials; jobs do the expensive sampling. The whole queued run is
+      // taken at once (one lock round trip): no message handler blocks.
       if (!shard.mail.empty()) {
         mail_run.swap(shard.mail);
         next = kMessages;
@@ -488,35 +478,13 @@ void ShardedEngine::WorkerLoop(int shard_id) {
       if (jobs_left >= 0) ins_.job_depth->Set(shard_id, jobs_left);
     }
     if (next == kMessages) {
-      for (ShardMessage& message : mail_run) {
-        DispatchMessage(shard_id, std::move(message));
+      for (ShardPartial& partial : mail_run) {
+        OnMail(shard_id, std::move(partial));
       }
       mail_run.clear();
-      // The handlers may have buffered frontier responses; the requesters
-      // are blocked on them, and this worker may idle-wait next iteration.
-      FlushOutbound(shard_id);
     } else {
       ProcessJob(shard_id, std::move(job));
     }
-  }
-}
-
-void ShardedEngine::DispatchMessage(int shard_id, ShardMessage message) {
-  if (auto* partial = std::get_if<ShardPartial>(&message)) {
-    OnMail(shard_id, std::move(*partial));
-  } else if (auto* request = std::get_if<FrontierRequest>(&message)) {
-    HandleFrontierRequest(shard_id, std::move(*request));
-  } else {
-    // Responses are consumed inside WaitForFrontierResponses before the
-    // requesting expansion returns, so one reaching the main loop is
-    // either a transport re-delivery of an already-completed wait
-    // (dropped by tag) or a protocol violation.
-    const auto& response = std::get<FrontierResponse>(message);
-    Shard& shard = *shards_[static_cast<size_t>(shard_id)];
-    APAN_CHECK_MSG(
-        ExpansionKey(response.batch, response.hop) <= shard.last_wait,
-        "frontier response with no expansion awaiting it");
-    CountDuplicateDropped(shard_id);
   }
 }
 
@@ -532,6 +500,9 @@ void ShardedEngine::ProcessJob(int shard_id, BatchJob job) {
         break;
       case BatchJob::Op::kRestore:
         status = RestoreShardLocal(shard_id, job);
+        break;
+      case BatchJob::Op::kCheckCaughtUp:
+        status = CheckCaughtUpLocal(shard_id, job);
         break;
       case BatchJob::Op::kBatch:
         break;
@@ -558,6 +529,9 @@ void ShardedEngine::ProcessJob(int shard_id, BatchJob job) {
   // (advancing the per-shard watermark), and every slice read below is
   // versioned by the batch's base ordinal — sampling sees exactly the
   // events of batches 0..b-1 no matter how far ahead any shard has run.
+  // The append comes before anything that can wait: foreign expansions
+  // of batch b+1 wait for exactly this watermark (the progress argument
+  // in the header).
   {
     APAN_TRACE_SPAN("append");
     Stopwatch append_watch;
@@ -568,20 +542,10 @@ void ShardedEngine::ProcessJob(int shard_id, BatchJob job) {
       ins_.stage_append->Record(shard_id, append_watch.ElapsedMillis());
     }
   }
-  // The append may unblock foreign expansions waiting on this slice
-  // (their answers self-report as stage.frontier_serve).
-  ServeDeferredRequests(shard_id);
 
-  // φ + N over this shard's home events; hops whose frontier nodes are
-  // owned elsewhere are forwarded to their owner shards. Propagation is
-  // plain float math over the worker's reused buffers; the scope makes
-  // any tensor op a future propagator grows draw from this worker's pool.
-  // Arena tensors are thread-confined: anything that enters a
-  // ShardPartial (read by OTHER shards' workers) must be copied into
-  // plain buffers, never handed over as a pooled tensor.
+  // φ + N over this shard's home events. Propagation is plain float math
+  // over the worker's reused buffers; no tensor is allocated here.
   Shard& shard = *shards_[static_cast<size_t>(shard_id)];
-  std::optional<tensor::ArenaScope> arena_scope;
-  arena_scope.emplace();
   ExpandKHop(shard_id, job);
   {
     APAN_TRACE_SPAN("propagate");
@@ -598,7 +562,6 @@ void ShardedEngine::ProcessJob(int shard_id, BatchJob job) {
 
   APAN_TRACE_SPAN("finalize");
   Stopwatch finalize_watch;
-  arena_scope.reset();
   job.records = core::RecordRows();
   job.ctx.reset();
   {
@@ -626,15 +589,18 @@ void ShardedEngine::ExpandKHop(int shard_id, const BatchJob& job) {
   const int64_t fanout = model_->config().sampled_neighbors;
   const size_t num_records = job.records.size();
   if (num_hops <= 0 || num_records == 0) return;
-  double wait_ms = 0.0;  // inside WaitForFrontierResponses, excluded below
   const int num_shards = options_.num_shards;
+  const int64_t batch = job.ctx->batch;
   const int64_t ordinal_limit = job.ctx->base_ordinal;
   const std::vector<graph::Event>& events = job.records.events;
+  double wait_ms = 0.0;  // blocked on foreign watermarks, excluded below
+  int64_t foreign_reads = 0;
+  int64_t foreign_nodes = 0;
 
   // The hop-1 frontier is every record's seeds {src, dst}. A hop's
-  // frontier is its slots in record-major order; the slot id is the
-  // sequence tag that fixes the reassembled expansion order to exactly
-  // the monolithic per-record KHopExpand sequence.
+  // frontier is its slots in record-major order; slot order is what fixes
+  // the reassembled expansion order to exactly the monolithic per-record
+  // KHopExpand sequence.
   x.slots.clear();
   for (size_t i = 0; i < num_records; ++i) {
     x.slots.push_back({static_cast<uint32_t>(i), events[i].src});
@@ -642,85 +608,64 @@ void ShardedEngine::ExpandKHop(int shard_id, const BatchJob& job) {
   }
   x.staged.clear();
   x.staged_record.clear();
-  x.requests.resize(static_cast<size_t>(num_shards));
-  int64_t requests_sent = 0;
-  int64_t nodes_forwarded = 0;
   for (int32_t hop = 1; hop <= num_hops && !x.slots.empty(); ++hop) {
+    // Group the slots by owner with a counting sort keyed by the owner's
+    // rotation rank from this shard, so the own slice (which never waits)
+    // is read first. A slot's sampled row is its position in the groups.
     const size_t num_slots = x.slots.size();
-    x.sample_span.assign(num_slots, {0, 0});
-    x.samples.clear();
-    x.local_slots.clear();
-    x.slot_owner.resize(num_slots);
-    x.awaiting_from.assign(static_cast<size_t>(num_shards), 0);
-    std::vector<size_t>& asked = x.asked;
-    asked.assign(static_cast<size_t>(num_shards), 0);
+    x.slot_row.resize(num_slots);
+    x.group_begin.assign(static_cast<size_t>(num_shards) + 1, 0);
     for (size_t s = 0; s < num_slots; ++s) {
       const int owner = graph_.OwnerOf(x.slots[s].node);
-      x.slot_owner[s] = owner;
-      if (owner == shard_id) {
-        x.local_slots.push_back(s);
-      } else if (!shard_down_[static_cast<size_t>(owner)].load(
-                     std::memory_order_relaxed)) {
-        ++asked[static_cast<size_t>(owner)];
-      }
-      // A frontier owned by a down shard samples empty — never ask a
-      // dead peer and wait forever on its answer; its span stays empty.
+      const auto rank = static_cast<uint32_t>(
+          (owner - shard_id + num_shards) % num_shards);
+      x.slot_row[s] = rank;
+      ++x.group_begin[rank + 1];
     }
-    for (int target = 0; target < num_shards; ++target) {
-      x.requests[static_cast<size_t>(target)].items.reserve(
-          asked[static_cast<size_t>(target)]);
+    for (int r = 0; r < num_shards; ++r) {
+      x.group_begin[static_cast<size_t>(r) + 1] +=
+          x.group_begin[static_cast<size_t>(r)];
     }
+    x.cursor.assign(x.group_begin.begin(), x.group_begin.end() - 1);
+    x.queries.resize(num_slots);
     for (size_t s = 0; s < num_slots; ++s) {
-      const int owner = x.slot_owner[s];
-      if (owner == shard_id || asked[static_cast<size_t>(owner)] == 0) {
-        continue;  // local, or owned by a down shard
-      }
-      const double t = events[x.slots[s].record].timestamp;
-      x.requests[static_cast<size_t>(owner)].items.push_back(
-          {static_cast<int64_t>(s), x.slots[s].node, t});
+      const auto row = static_cast<uint32_t>(x.cursor[x.slot_row[s]]++);
+      x.slot_row[s] = row;
+      x.queries[row] = {x.slots[s].node,
+                        events[x.slots[s].record].timestamp};
     }
 
-    // Requests go out before any local sampling so foreign owners work on
-    // their slots while this shard works on its own — hop latency is
-    // max(local, remote), not local + remote.
-    int awaiting = 0;
-    for (int target = 0; target < num_shards; ++target) {
-      FrontierRequest& request = x.requests[static_cast<size_t>(target)];
-      if (request.items.empty()) continue;
-      nodes_forwarded += static_cast<int64_t>(request.items.size());
-      ++requests_sent;
-      request.batch = job.ctx->batch;
-      request.hop = hop;
-      request.from_shard = shard_id;
-      request.ordinal_limit = ordinal_limit;
-      request.fanout = fanout;
-      BufferMessage(shard_id, target, ShardMessage(std::move(request)));
-      request = FrontierRequest();
-      x.awaiting_from[static_cast<size_t>(target)] = 1;
-      ++awaiting;
-    }
-    // One coalesced frame per peer: this hop's request rides together
-    // with any response ServeDeferredRequests buffered after the append.
-    // Flushed before local sampling so foreign owners overlap with it.
-    FlushOutbound(shard_id);
-    for (const size_t s : x.local_slots) {
-      const auto begin = static_cast<int64_t>(x.samples.size());
-      graph_.AppendMostRecentNeighborsAsOf(
-          x.slots[s].node, events[x.slots[s].record].timestamp, fanout,
+    // One slice read per owner: SampleAsOf waits until the owner has
+    // appended batch b-1, then samples all of its slots under one lock
+    // acquisition. Frontiers owned by a down shard sample empty, checked
+    // before any wait — a down owner's watermark never advances.
+    x.samples.Clear();
+    for (int r = 0; r < num_shards; ++r) {
+      const size_t begin = x.group_begin[static_cast<size_t>(r)];
+      const size_t end = x.group_begin[static_cast<size_t>(r) + 1];
+      if (begin == end) continue;
+      const int owner = (shard_id + r) % num_shards;
+      if (owner != shard_id &&
+          shard_down_[static_cast<size_t>(owner)].load(
+              std::memory_order_relaxed)) {
+        for (size_t q = begin; q < end; ++q) x.samples.EndRow();
+        continue;
+      }
+      wait_ms += graph_.SampleAsOf(
+          owner, batch,
+          std::span(x.queries).subspan(begin, end - begin), fanout,
           ordinal_limit, &x.samples);
-      x.sample_span[s] = {begin, static_cast<int64_t>(x.samples.size())};
-    }
-    if (awaiting > 0) {
-      wait_ms += WaitForFrontierResponses(shard_id, job.ctx->batch, hop);
+      if (owner != shard_id) {
+        ++foreign_reads;
+        foreign_nodes += static_cast<int64_t>(end - begin);
+      }
     }
 
     // Reassemble in slot order and build the next frontier.
     x.next_slots.clear();
     for (size_t s = 0; s < num_slots; ++s) {
       const uint32_t record = x.slots[s].record;
-      const auto [begin, end] = x.sample_span[s];
-      for (int64_t k = begin; k < end; ++k) {
-        const graph::TemporalNeighbor& n = x.samples[static_cast<size_t>(k)];
+      for (const graph::TemporalNeighbor& n : x.samples.Row(x.slot_row[s])) {
         x.staged.push_back({n.node, n.edge_id, n.timestamp, hop});
         x.staged_record.push_back(record);
         x.next_slots.push_back({record, n.node});
@@ -746,287 +691,65 @@ void ShardedEngine::ExpandKHop(int shard_id, const BatchJob& job) {
         x.staged[k];
   }
 
-  if (requests_sent > 0) {
-    ins_.frontier_requests->Add(shard_id, requests_sent);
-    ins_.frontier_nodes_forwarded->Add(shard_id, nodes_forwarded);
+  if (foreign_reads > 0) {
+    ins_.frontier_requests->Add(shard_id, foreign_reads);
+    ins_.frontier_nodes_forwarded->Add(shard_id, foreign_nodes);
   }
   if (stage_metrics_) {
-    // stage.sample is this shard's own expansion work; the time spent
-    // blocked on foreign owners is stage.frontier_wait (recorded inside
-    // the wait, net of interleaved message handling).
+    // stage.sample is this shard's own expansion work; the time blocked
+    // on foreign watermarks is stage.frontier_wait.
+    if (foreign_reads > 0) {
+      ins_.stage_frontier_wait->Record(shard_id, wait_ms);
+    }
     ins_.stage_sample->Record(
         shard_id, std::max(0.0, expand_watch.ElapsedMillis() - wait_ms));
   }
 }
 
-double ShardedEngine::WaitForFrontierResponses(int shard_id, int64_t batch,
-                                               int32_t hop) {
-  APAN_TRACE_SPAN("frontier_wait");
-  Stopwatch wait_watch;
-  double nested_ms = 0.0;  // interleaved message handling, not waiting
-  Shard& shard = *shards_[static_cast<size_t>(shard_id)];
-  ExpandScratch& x = shard.expand;
-  std::vector<char>& awaiting_from = x.awaiting_from;
-  const ExpansionKey current(batch, hop);
-  int awaiting = 0;
-  for (const char pending : awaiting_from) awaiting += pending != 0;
-  while (awaiting > 0) {
-    ShardMessage message;
-    bool have_message = false;
-    int64_t mail_left = 0;
-    {
-      util::MutexLock lock(shard.mu);
-      while (shard.mail.empty()) {
-        // Timed wait: a peer can be marked down mid-wait (SetShardDown
-        // or a lane failure on another worker), and no inbox signal
-        // accompanies the flag flip — its answer is never coming, so
-        // the wait must notice on its own and degrade (empty sample).
-        shard.cv.WaitFor(shard.mu, std::chrono::milliseconds(10));
-        for (size_t p = 0; p < awaiting_from.size(); ++p) {
-          if (awaiting_from[p] != 0 &&
-              shard_down_[p].load(std::memory_order_relaxed)) {
-            awaiting_from[p] = 0;
-            --awaiting;
-          }
-        }
-        if (shard_down_[static_cast<size_t>(shard_id)].load(
-                std::memory_order_relaxed)) {
-          // This shard itself was marked down mid-wait: its requests (or
-          // the answers) were shed in transit. Abandon every outstanding
-          // slot and finish the job degraded.
-          for (size_t p = 0; p < awaiting_from.size(); ++p) {
-            if (awaiting_from[p] != 0) {
-              awaiting_from[p] = 0;
-              --awaiting;
-            }
-          }
-        }
-        if (awaiting == 0) break;
-      }
-      if (!shard.mail.empty()) {
-        message = std::move(shard.mail.front());
-        shard.mail.pop_front();
-        mail_left = static_cast<int64_t>(shard.mail.size());
-        have_message = true;
-      }
-    }
-    if (!have_message) continue;  // awaiting re-checked by the loop head
-    if (stage_metrics_) {
-      ins_.mail_depth->Set(shard_id, mail_left);
-    }
-    if (auto* response = std::get_if<FrontierResponse>(&message)) {
-      const ExpansionKey key(response->batch, response->hop);
-      if (key == current) {
-        char& pending = awaiting_from[static_cast<size_t>(
-            response->from_shard)];
-        if (pending == 0) {
-          // Transport re-delivery of a responder we already consumed.
-          CountDuplicateDropped(shard_id);
-          continue;
-        }
-        pending = 0;
-        APAN_CHECK_MSG(response->neighbors.rows() == response->slots.size(),
-                       "frontier response with mismatched slot/neighbor rows");
-        for (size_t i = 0; i < response->slots.size(); ++i) {
-          const int64_t slot = response->slots[i];
-          APAN_CHECK_MSG(
-              slot >= 0 && static_cast<size_t>(slot) < x.sample_span.size(),
-              "frontier response slot outside the requested expansion");
-          const std::span<const graph::TemporalNeighbor> row =
-              response->neighbors.Row(i);
-          const auto begin = static_cast<int64_t>(x.samples.size());
-          x.samples.insert(x.samples.end(), row.begin(), row.end());
-          x.sample_span[static_cast<size_t>(slot)] = {
-              begin, static_cast<int64_t>(x.samples.size())};
-        }
-        --awaiting;
-      } else {
-        // A response for a later expansion cannot exist (its request has
-        // not been sent); an earlier key is a re-delivered duplicate.
-        APAN_CHECK_MSG(key < current,
-                       "frontier response for a future expansion");
-        CountDuplicateDropped(shard_id);
-      }
-    } else {
-      // Serving requests (and applying finished batches) while blocked is
-      // what keeps the frontier protocol deadlock-free: the shard at the
-      // minimum outstanding batch can always be answered by everyone.
-      // Their cost is the handled stage's (merge / frontier_serve), not
-      // this wait's — subtract it so the stage decomposition stays
-      // disjoint.
-      Stopwatch nested_watch;
-      DispatchMessage(shard_id, std::move(message));
-      // A nested handler may have buffered a response its requester is
-      // blocked on — nothing may stay buffered while this worker waits.
-      FlushOutbound(shard_id);
-      nested_ms += nested_watch.ElapsedMillis();
-    }
-  }
-  shard.last_wait = current;
-  const double total_ms = wait_watch.ElapsedMillis();
-  if (stage_metrics_) {
-    ins_.stage_frontier_wait->Record(shard_id,
-                                     std::max(0.0, total_ms - nested_ms));
-  }
-  return total_ms;
-}
-
-void ShardedEngine::HandleFrontierRequest(int shard_id,
-                                          FrontierRequest request) {
-  Shard& shard = *shards_[static_cast<size_t>(shard_id)];
-  // Replay protection: a requester has at most one request outstanding
-  // per owner, at strictly increasing (batch, hop) — anything at or below
-  // the accepted watermark is a transport re-delivery (it was already
-  // answered or deferred, else the requester could not have progressed).
-  ExpansionKey& watermark =
-      shard.accepted_request[static_cast<size_t>(request.from_shard)];
-  const ExpansionKey key(request.batch, request.hop);
-  if (key <= watermark) {
-    CountDuplicateDropped(shard_id);
-    return;
-  }
-  watermark = key;
-  if (graph_.watermark(shard_id) < request.batch) {
-    // This slice has not absorbed batches 0..request.batch-1 yet; answer
-    // after the append that advances the watermark far enough.
-    shard.deferred_requests.push_back(std::move(request));
-    return;
-  }
-  AnswerFrontierRequest(shard_id, request);
-}
-
-void ShardedEngine::AnswerFrontierRequest(int shard_id,
-                                          const FrontierRequest& request) {
-  APAN_TRACE_SPAN("frontier_answer");
-  Stopwatch serve_watch;
-  FrontierResponse response;
-  response.batch = request.batch;
-  response.hop = request.hop;
-  response.from_shard = shard_id;
-  // Sampled into the worker's reused buffer, then copied into the
-  // message at its exact size: the message crosses threads and is freed
-  // by the requester, so it gets one allocation per array.
-  graph::NeighborRows& answer = shards_[static_cast<size_t>(shard_id)]->answer;
-  answer.Clear();
-  response.slots.reserve(request.items.size());
-  for (const FrontierItem& item : request.items) {
-    response.slots.push_back(item.slot);
-    graph_.AppendMostRecentNeighborsAsOf(item.node, item.before_time,
-                                         request.fanout,
-                                         request.ordinal_limit,
-                                         &answer.entries);
-    answer.EndRow();
-  }
-  response.neighbors.offsets.assign(answer.offsets.begin(),
-                                    answer.offsets.end());
-  response.neighbors.entries.assign(answer.entries.begin(),
-                                    answer.entries.end());
-  // Buffered, not sent: the caller's context owns the flush point (after
-  // a dispatched message, or coalesced with the next hop's requests).
-  BufferMessage(shard_id, request.from_shard,
-                ShardMessage(std::move(response)));
-  if (stage_metrics_) {
-    ins_.stage_frontier_serve->Record(shard_id, serve_watch.ElapsedMillis());
-  }
-}
-
-void ShardedEngine::ServeDeferredRequests(int shard_id) {
-  Shard& shard = *shards_[static_cast<size_t>(shard_id)];
-  if (shard.deferred_requests.empty()) return;
-  const int64_t watermark = graph_.watermark(shard_id);
-  std::vector<FrontierRequest> still_deferred;
-  for (FrontierRequest& request : shard.deferred_requests) {
-    if (request.batch <= watermark) {
-      AnswerFrontierRequest(shard_id, request);
-    } else {
-      still_deferred.push_back(std::move(request));
-    }
-  }
-  shard.deferred_requests = std::move(still_deferred);
-}
-
-void ShardedEngine::BufferMessage(int from_shard, int to_shard,
-                                  ShardMessage message) {
-  shards_[static_cast<size_t>(from_shard)]
-      ->outbound[static_cast<size_t>(to_shard)]
-      .push_back(std::move(message));
-}
-
-void ShardedEngine::FlushOutbound(int from_shard) {
-  Shard& shard = *shards_[static_cast<size_t>(from_shard)];
-  const bool self_down =
+void ShardedEngine::SendPartial(int from_shard, int to_shard,
+                                ShardPartial partial) {
+  const int64_t batch = partial.batch;
+  const bool shed =
       shard_down_[static_cast<size_t>(from_shard)].load(
+          std::memory_order_relaxed) ||
+      shard_down_[static_cast<size_t>(to_shard)].load(
           std::memory_order_relaxed);
-  for (size_t to = 0; to < shard.outbound.size(); ++to) {
-    std::vector<ShardMessage>& run = shard.outbound[to];
-    if (run.empty()) continue;
-    const int to_shard = static_cast<int>(to);
-    if (self_down ||
-        shard_down_[to].load(std::memory_order_relaxed)) {
-      // Degraded path: runs to (or from) a down shard are shed before
-      // they touch the transport. Any ShardPartial in the run belongs to
-      // a batch that counted the peer's application leg at ingest (a
-      // batch ingested after the peer went down never buffers a partial
-      // to it — its apply set excludes the peer), so retire those legs
-      // here or Flush wedges on a merge that will never happen.
-      std::vector<int64_t> partial_batches;
-      for (const ShardMessage& message : run) {
-        if (const auto* partial = std::get_if<ShardPartial>(&message)) {
-          partial_batches.push_back(partial->batch);
-        }
-      }
-      ins_.sends_shed->Add(to_shard, static_cast<int64_t>(run.size()));
-      run = std::vector<ShardMessage>();
-      // Compensate the DESTINATION's legs in both directions: a peer
-      // missing this shard's partial can never reach its sender-count
-      // barrier, so its application leg is as dead as one whose own
-      // partial was lost.
-      CompensateLostPartials(to_shard, partial_batches);
-      continue;
+  if (!shed) {
+    if (transport_->Send(from_shard, to_shard, std::move(partial)).ok()) {
+      return;
     }
-    // Remember which batches' partials ride this run BEFORE the move:
-    // if the transport refuses the frame even after its own lane
-    // recovery (reconnect + backoff), those batches' application legs
-    // on the peer must be compensated, and the messages are gone.
-    std::vector<int64_t> partial_batches;
-    for (const ShardMessage& message : run) {
-      if (const auto* partial = std::get_if<ShardPartial>(&message)) {
-        partial_batches.push_back(partial->batch);
-      }
-    }
-    const int64_t run_size = static_cast<int64_t>(run.size());
-    // One coalesced frame per peer — on a serializing transport this is
-    // where N same-destination messages become one syscall.
-    const Status sent = transport_->SendBatch(
-        from_shard, to_shard, std::move(run));
-    run = std::vector<ShardMessage>();
-    if (sent.ok()) continue;
     // The lane is dead beyond repair: mark the peer down so subsequent
-    // traffic sheds cheaply, count what was lost, and keep serving the
-    // healthy shards instead of aborting the process.
-    ins_.sends_shed->Add(to_shard, run_size);
-    shard_down_[to].store(true, std::memory_order_relaxed);
-    CompensateLostPartials(to_shard, partial_batches);
+    // traffic sheds cheaply, and keep serving the healthy shards instead
+    // of aborting the process.
+    shard_down_[static_cast<size_t>(to_shard)].store(
+        true, std::memory_order_relaxed);
   }
+  // Degraded path. Without this partial the recipient can never reach
+  // its sender-count barrier, so if the batch counted the recipient's
+  // application leg at ingest, retire it here or Flush wedges. (A batch
+  // ingested while the recipient was already down never counted it; the
+  // retire is then a no-op.)
+  ins_.sends_shed->Add(to_shard, 1);
+  RetireApplyLeg(to_shard, batch, /*merged=*/false);
 }
 
-void ShardedEngine::CompensateLostPartials(
-    int to_shard, const std::vector<int64_t>& batches) {
-  if (batches.empty()) return;
+void ShardedEngine::RetireApplyLeg(int shard, int64_t batch, bool merged) {
   util::MutexLock lock(flush_mu_);
-  bool retired = false;
-  for (const int64_t batch : batches) {
-    auto remaining = apply_remaining_.find(batch);
-    if (remaining == apply_remaining_.end()) continue;
-    // erase() doubles as the dedupe: a second shed partial for the same
-    // (batch, peer) — another sender's, or a duplicate — finds the leg
-    // already retired and is a no-op.
-    if (remaining->second.erase(to_shard) == 0) continue;
-    if (remaining->second.empty()) apply_remaining_.erase(remaining);
-    --inflight_;
-    retired = true;
+  auto remaining = apply_remaining_.find(batch);
+  // erase() doubles as the dedupe: a second retirement of the same
+  // (batch, shard) — another sender's shed partial, or a held duplicate
+  // merging after the shed — finds the leg already retired.
+  if (remaining == apply_remaining_.end() ||
+      remaining->second.erase(shard) == 0) {
+    return;
   }
-  if (retired && inflight_ == 0) flush_cv_.NotifyAll();
+  if (remaining->second.empty()) {
+    apply_remaining_.erase(remaining);
+    // Counted under flush_mu_, before the notify, so a caller gated on
+    // Flush() sees it.
+    if (merged) ins_.batches_propagated->Add(shard, 1);
+  }
+  if (--inflight_ == 0) flush_cv_.NotifyAll();
 }
 
 void ShardedEngine::EnqueueMessage(int to_shard, ShardMessage message) {
@@ -1040,15 +763,7 @@ void ShardedEngine::EnqueueMessage(int to_shard, ShardMessage message) {
   };
   APAN_CHECK_MSG(valid_shard(to_shard),
                  "transport delivered a message to an out-of-range shard");
-  int from_shard = -1;
-  if (const auto* partial = std::get_if<ShardPartial>(&message)) {
-    from_shard = partial->from_shard;
-  } else if (const auto* request = std::get_if<FrontierRequest>(&message)) {
-    from_shard = request->from_shard;
-  } else {
-    from_shard = std::get<FrontierResponse>(message).from_shard;
-  }
-  APAN_CHECK_MSG(valid_shard(from_shard),
+  APAN_CHECK_MSG(valid_shard(message.from_shard),
                  "transport delivered a message with an out-of-range sender");
   Shard& target = *shards_[static_cast<size_t>(to_shard)];
   int64_t depth = 0;
@@ -1151,11 +866,8 @@ void ShardedEngine::RouteMail(int from_shard, const BatchJob& job) {
         static_cast<int64_t>(out.rows.rows()) - out.num_state_updates;
     routed += mails;
     if (t != from_shard) cross_shard += mails;
-    BufferMessage(from_shard, t, ShardMessage(std::move(out)));
+    SendPartial(from_shard, t, std::move(out));
   }
-  // Covers the partials just buffered AND any response still waiting from
-  // an expansion-free path (0 hops / empty record set).
-  FlushOutbound(from_shard);
   ins_.mails_routed->Add(from_shard, routed);
   ins_.mails_cross_shard->Add(from_shard, cross_shard);
   if (stage_metrics_) {
@@ -1305,24 +1017,12 @@ void ShardedEngine::ApplyMergedBatch(int shard_id,
     }
   }
   ins_.stage_merge->Record(shard_id, watch.ElapsedMillis());
-
-  util::MutexLock lock(flush_mu_);
-  auto remaining = apply_remaining_.find(batch);
-  // A missing barrier (or a leg already retired) means the shed
-  // compensation beat a late merge here: an at-least-once transport
-  // delivered a held duplicate of a partial whose original was shed when
-  // the peer went down. The merge's writes are idempotent against the
-  // degraded outcome, but the leg was already accounted for — counting
-  // it again would drive inflight_ negative and corrupt Flush.
-  if (remaining == apply_remaining_.end() ||
-      remaining->second.erase(shard_id) == 0) {
-    return;
-  }
-  if (remaining->second.empty()) {
-    apply_remaining_.erase(remaining);
-    ins_.batches_propagated->Add(shard_id, 1);
-  }
-  if (--inflight_ == 0) flush_cv_.NotifyAll();
+  // A leg already retired means the shed compensation beat a late merge
+  // here: an at-least-once transport delivered a held duplicate of a
+  // partial whose original was shed when the peer went down. The merge's
+  // writes are idempotent against the degraded outcome, and the retire
+  // is a no-op.
+  RetireApplyLeg(shard_id, batch, /*merged=*/true);
 }
 
 void ShardedEngine::Flush() {
@@ -1340,14 +1040,9 @@ void ShardedEngine::ResetShardLocal(int shard_id) {
   }
   graph_.ResetSlice(shard_id);
   // Worker-confined replay state, reset on the worker's own thread:
-  // batch numbering restarts at 0, so the merge cursor and the frontier
-  // watermarks must rewind with it.
+  // batch numbering restarts at 0, so the merge cursor rewinds with it.
   shard.pending.clear();
   shard.next_merge = 0;
-  shard.deferred_requests.clear();
-  shard.accepted_request.assign(static_cast<size_t>(options_.num_shards),
-                                ExpansionKey{-1, 0});
-  shard.last_wait = ExpansionKey{-1, 0};
 }
 
 Status ShardedEngine::SnapshotShardLocal(int shard_id, const BatchJob& job) {
@@ -1364,8 +1059,8 @@ Status ShardedEngine::SnapshotShardLocal(int shard_id, const BatchJob& job) {
   snap.shard = shard_id;
   snap.num_shards = options_.num_shards;
   snap.num_nodes = static_cast<int64_t>(partition_->owner_of.size());
-  snap.next_batch = job.snap_next_batch;
-  snap.next_ordinal = job.snap_next_ordinal;
+  snap.next_batch = job.next_batch;
+  snap.next_ordinal = job.next_ordinal;
   {
     // The capture only reads, but the encode pool reads these rows too;
     // same discipline as every other store access.
@@ -1390,9 +1085,6 @@ Status ShardedEngine::SnapshotShardLocal(int shard_id, const BatchJob& job) {
   }
   snap.slice = graph_.ExportSlice(shard_id);
   snap.next_merge = shard.next_merge;
-  snap.accepted_request = shard.accepted_request;
-  snap.last_wait_batch = shard.last_wait.first;
-  snap.last_wait_hop = shard.last_wait.second;
   return snapshot::WriteShardSnapshot(snap, job.snapshot_path);
 }
 
@@ -1413,15 +1105,23 @@ Status ShardedEngine::RestoreShardLocal(int shard_id, const BatchJob& job) {
     APAN_RETURN_NOT_OK(shard.store->RestoreRawState(snap.z_rows));
   }
   APAN_RETURN_NOT_OK(graph_.RestoreSlice(shard_id, snap.slice));
-  // Replay/dedup state, rewound to the image's flushed point: pending and
-  // deferred are structurally empty there (Flush settled every barrier),
-  // and the watermarks resume exactly where the capture stood.
+  // Replay/dedup state, rewound to the image's flushed point: pending is
+  // structurally empty there (Flush settled every barrier), and the merge
+  // cursor resumes exactly where the capture stood.
   shard.pending.clear();
   shard.next_merge = snap.next_merge;
-  shard.deferred_requests.clear();
-  shard.accepted_request.assign(snap.accepted_request.begin(),
-                                snap.accepted_request.end());
-  shard.last_wait = ExpansionKey{snap.last_wait_batch, snap.last_wait_hop};
+  return Status::OK();
+}
+
+Status ShardedEngine::CheckCaughtUpLocal(int shard_id, const BatchJob& job) {
+  const int64_t watermark = graph_.watermark(shard_id);
+  const int64_t next_merge = shards_[static_cast<size_t>(shard_id)]->next_merge;
+  if (watermark < job.next_batch || next_merge < job.next_batch) {
+    return Status::FailedPrecondition(internal::StrCat(
+        "shard ", shard_id, " missed batches: slice watermark ", watermark,
+        ", merge cursor ", next_merge, ", engine's next batch ",
+        job.next_batch, " (ResetState or RestoreShard it first)"));
+  }
   return Status::OK();
 }
 
@@ -1442,8 +1142,7 @@ void ShardedEngine::ResetState() {
   // legs ran, and legs are only reachable via delivered messages).
   Flush();
   // Route the reset through each shard's worker so the worker-confined
-  // state (merge cursor, frontier watermarks, graph slice) is only ever
-  // touched by its own thread.
+  // merge state is only ever touched by its own thread.
   {
     util::MutexLock lock(flush_mu_);
     inflight_ += options_.num_shards;
@@ -1509,8 +1208,8 @@ Status ShardedEngine::SnapshotShard(int shard, const std::string& path) {
   // The engine-level numbering is captured under infer_mu_ — the lock
   // that advances it — and rides into the image so a restored engine
   // resumes the batch/ordinal sequence exactly where this one stood.
-  job.snap_next_batch = next_batch_;
-  job.snap_next_ordinal = next_ordinal_;
+  job.next_batch = next_batch_;
+  job.next_ordinal = next_ordinal_;
   return RunControlJob(shard, std::move(job));
 }
 
@@ -1586,19 +1285,34 @@ Status ShardedEngine::RestoreShard(int shard, const std::string& path) {
   return Status::OK();
 }
 
-void ShardedEngine::SetShardDown(int shard, bool down) {
+Status ShardedEngine::SetShardDown(int shard, bool down) {
   util::MutexLock infer_lock(infer_mu_);
-  if (shutdown_) return;
-  APAN_CHECK_MSG(shard >= 0 && shard < options_.num_shards,
-                 "SetShardDown: shard id out of range");
+  if (shutdown_) {
+    return Status::FailedPrecondition("SetShardDown after Shutdown");
+  }
+  if (shard < 0 || shard >= options_.num_shards) {
+    return Status::InvalidArgument(internal::StrCat(
+        "SetShardDown: shard ", shard, " out of range [0, ",
+        options_.num_shards, ")"));
+  }
+  // Marking a shard up is only sound if it never missed a batch: a
+  // foreign expansion of batch b waits for its watermark to reach b, and
+  // its next append must be exactly the engine's next batch. The check
+  // runs on the shard's worker (the merge cursor is worker-confined) and
+  // flushes first, like every control job.
+  if (!down) {
+    BatchJob job;
+    job.op = BatchJob::Op::kCheckCaughtUp;
+    job.next_batch = next_batch_;
+    APAN_RETURN_NOT_OK(RunControlJob(shard, std::move(job)));
+  }
   // Flush first so the flag flips at a quiescent point: no in-flight
   // batch straddles the transition, so every batch sees one consistent
-  // up/down view at ingest. (Marking a shard up again without a restore
-  // or reset is only sound if it never missed a batch — its slice
-  // watermark must match the engine's numbering.)
+  // up/down view at ingest.
   Flush();
   shard_down_[static_cast<size_t>(shard)].store(down,
                                                 std::memory_order_relaxed);
+  return Status::OK();
 }
 
 void ShardedEngine::Shutdown() {

@@ -37,12 +37,12 @@
 //       events of batches 0..b-1 no matter how far any slice has advanced;
 //     · every event is homed on its source endpoint's shard; the home
 //       shard computes the event's mail (φ) and drives its k-hop fan-out
-//       (N). A hop whose frontier node is owned by a foreign shard is
-//       *forwarded* to the owner as a frontier-request message through the
-//       same shard-to-shard message lane; the owner samples its slice
-//       (deferring the request until its watermark reaches b) and replies
-//       with the sampled neighbors. Slot-sequence tags let the home shard
-//       reassemble every hop in the exact monolithic expansion order;
+//       (N). Each hop's frontier is grouped by owner shard; the home shard
+//       reads every owner's slice itself — waiting, under that slice's
+//       lock, until the owner has appended batch b-1, then sampling all of
+//       the owner's frontier nodes in one lock acquisition. Slot order
+//       (the frontier's record-major position) restores the exact
+//       monolithic expansion order;
 //     · each resulting mail row and z(t−) write-back is *routed* to its
 //       recipient's owner shard inside a ShardPartial message (flat
 //       core::MailRows blocks). Cross-shard mail therefore arrives
@@ -58,13 +58,11 @@
 // by default, or a Unix-domain-socket lane per shard pair carrying
 // serve/wire.h frames. The engine assumes only at-least-once delivery
 // with no ordering: sequence tags reconstruct every order that matters,
-// and duplicated deliveries are dropped by tag — ShardPartials by
-// (batch, sender), frontier requests/responses by monotonic (batch, hop)
-// watermarks per peer. With the state plane split into per-shard stores,
-// nothing crosses a shard boundary through shared memory: a shard's
-// entire mutable footprint (store + graph slice) is address-space
-// independent, and only connected sockets separate this from a true
-// multi-process deployment (docs/serving.md).
+// and duplicated deliveries are dropped by (batch, sender) tag. Mail and
+// node state cross shard boundaries only as ShardPartial messages; the
+// graph slices are the one plane read across shards in shared memory
+// (under each slice's lock), as the synchronous link reads every shard's
+// store under its state lock (docs/serving.md).
 //
 // Determinism: because neighborhood expansion, per-node delivery order and
 // ρ-reduction are reconstructed exactly, the final mailbox timestamps and
@@ -76,14 +74,16 @@
 // tests/serve_transport_test.cc re-asserts it over a socket transport and
 // under injected delay/reorder/duplication faults.
 //
-// Deadlock freedom: batch-job inboxes are bounded (back-pressure on the
-// caller), but shard-to-shard messages are unbounded — if message pushes
-// could block, two shards flooding each other would deadlock. A worker
-// blocked waiting for frontier responses keeps serving incoming requests
-// and mail from its own inbox, and a request it cannot answer yet (its
-// watermark is behind the requested batch) is deferred until its own next
-// slice append — the shard at the minimum outstanding batch can always be
-// answered by everyone, so expansion always makes progress.
+// Progress: batch-job inboxes are bounded (back-pressure on the caller),
+// but shard-to-shard messages are unbounded and no message handler ever
+// blocks, so two shards flooding each other cannot deadlock. The only
+// wait on the asynchronous link is a worker expanding batch b waiting for
+// a foreign owner to append batch b-1 — and every owner does that first
+// in its own job b-1, without waiting on anyone. By induction on the
+// lowest in-flight batch m: every job below m has finished, so every
+// slice has appended m-1, so no expansion of batch m waits, so m
+// finishes. The slice lock is a leaf: released while waiting, and never
+// held while another lock is taken.
 
 #ifndef APAN_SERVE_SHARDED_ENGINE_H_
 #define APAN_SERVE_SHARDED_ENGINE_H_
@@ -123,8 +123,8 @@ enum class OverflowPolicy {
 
 /// \brief Runs one ApanModel behind an N-shard partition of the node
 /// space: per-shard mailbox/memory/graph-slice ownership, per-shard
-/// propagation workers, cross-shard mail + frontier routing over a
-/// pluggable transport.
+/// propagation workers, cross-shard mail routing over a pluggable
+/// transport.
 class ShardedEngine {
  public:
   struct Options {
@@ -214,8 +214,8 @@ class ShardedEngine {
   /// \brief Resets all streaming state between epochs, mirroring
   /// ApanModel::ResetState for the sharded layout: flushes accepted work,
   /// then routes a reset through every shard's worker that zeroes its
-  /// NodeStateStore, empties its graph slice, and rewinds its replay
-  /// watermarks; batch/ordinal numbering restarts at 0. After it returns
+  /// NodeStateStore, empties its graph slice, and rewinds its merge
+  /// cursor; batch/ordinal numbering restarts at 0. After it returns
   /// the engine reproduces a fresh engine bitwise on the same stream.
   /// Stats and latency recorders stay cumulative. Callers must not run
   /// InferBatch concurrently. CHECK-enforced: the transport must report
@@ -256,15 +256,19 @@ class ShardedEngine {
   /// \brief Marks a shard down (or back up) for graceful degradation.
   /// While a shard is down the engine keeps serving from the healthy
   /// shards instead of blocking on the dead one: batches' records homed
-  /// to it are shed (counted in Stats::events_shed), outbound messages to
-  /// it are shed at the flush point (Stats::sends_shed), its merge
+  /// to it are shed (counted in Stats::events_shed), partials routed to
+  /// it are shed before the transport (Stats::sends_shed), its merge
   /// contribution is synthesized empty so healthy shards' reassembly
   /// barriers still complete, and k-hop frontiers it owns sample empty
   /// (stale-neighborhood degradation). Scores keep flowing — encoded
   /// against the down shard's frozen state. Flushes in-flight work before
   /// flipping the flag, so the transition lands at a batch boundary.
-  /// No-op after Shutdown.
-  void SetShardDown(int shard, bool down)
+  /// \return InvalidArgument for a shard outside [0, num_shards);
+  ///   FailedPrecondition after Shutdown, or when marking up a shard that
+  ///   missed batches (its slice watermark or merge cursor is behind the
+  ///   engine's next batch — ResetState or RestoreShard it first). The
+  ///   engine is unchanged on any error.
+  Status SetShardDown(int shard, bool down)
       APAN_EXCLUDES(infer_mu_, flush_mu_);
 
   struct Stats {
@@ -283,9 +287,10 @@ class ShardedEngine {
     int64_t mails_cross_shard = 0;
     /// Interaction records dropped whole by the overflow policy.
     int64_t mails_dropped = 0;
-    /// Frontier-request messages sent to foreign graph-slice owners.
+    /// Foreign graph-slice reads: one per (hop, foreign owner) an
+    /// expansion sampled from.
     int64_t frontier_requests = 0;
-    /// Frontier nodes whose sampling was forwarded to a foreign owner.
+    /// Frontier nodes sampled from foreign slices.
     int64_t frontier_nodes_forwarded = 0;
     /// Messages dropped as transport re-deliveries (by replay tag). Zero
     /// under an exactly-once transport; positive under FaultyTransport.
@@ -293,8 +298,8 @@ class ShardedEngine {
     /// Interaction records homed to a down shard and shed whole while it
     /// was down (SetShardDown). Zero in any run with no shard down.
     int64_t events_shed = 0;
-    /// Outbound messages shed at the flush point — destined to a down
-    /// shard, or refused by the transport after its lane-level recovery
+    /// Partials shed before the transport — from or to a down shard, or
+    /// refused by the transport after its lane-level recovery
     /// (reconnect/backoff) gave up. Zero in a healthy run.
     int64_t sends_shed = 0;
   };
@@ -350,17 +355,19 @@ class ShardedEngine {
     core::RecordRows records;
     /// Control jobs run on the owning worker instead of propagating a
     /// batch: kReset clears the shard (ResetState), kSnapshot captures it
-    /// to `snapshot_path`, kRestore installs `restore` into it. Routing
-    /// them through the inbox keeps every worker-confined field (merge
-    /// cursor, frontier watermarks, graph slice) single-threaded.
-    enum class Op { kBatch, kReset, kSnapshot, kRestore };
+    /// to `snapshot_path`, kRestore installs `restore` into it, and
+    /// kCheckCaughtUp fails unless the shard has appended and merged
+    /// every batch below `next_batch` (SetShardDown's mark-up check).
+    /// Routing them through the inbox keeps the worker-confined merge
+    /// state (pending partials, merge cursor) single-threaded.
+    enum class Op { kBatch, kReset, kSnapshot, kRestore, kCheckCaughtUp };
     Op op = Op::kBatch;
     std::string snapshot_path;  ///< kSnapshot: destination file.
-    /// kSnapshot: engine numbering captured under infer_mu_ at submit
-    /// time (the worker cannot read it without an ACQUIRED_AFTER
-    /// violation).
-    int64_t snap_next_batch = 0;
-    int64_t snap_next_ordinal = 0;
+    /// kSnapshot, kCheckCaughtUp: engine numbering captured under
+    /// infer_mu_ at submit time (the worker cannot read it without an
+    /// ACQUIRED_AFTER violation).
+    int64_t next_batch = 0;
+    int64_t next_ordinal = 0;
     /// kRestore: the decoded, topology-validated snapshot to install.
     std::shared_ptr<const snapshot::ShardSnapshot> restore;
     /// Control-job outcome, written by the worker before it decrements
@@ -369,15 +376,9 @@ class ShardedEngine {
     Status* control_status = nullptr;
   };
 
-  /// An expansion's identity, ordered as expansions run: batch-major,
-  /// hop-minor. Used as the replay watermark for frontier dedup.
-  using ExpansionKey = std::pair<int64_t, int32_t>;
-
-  /// A worker's per-batch scratch, one set per role: a frontier wait
-  /// inside an expansion re-enters merges and frontier answers while the
-  /// expansion's buffers are live, so no two roles share a buffer. Every
-  /// buffer is cleared, never freed, between batches, and starts empty —
-  /// the constructor allocates nothing; buffers grow on first use.
+  /// A worker's per-batch scratch, one set per stage. Every buffer is
+  /// cleared, never freed, between batches, and starts empty — the
+  /// constructor allocates nothing; buffers grow on first use.
   struct ExpandScratch {
     struct Slot {
       uint32_t record;
@@ -385,21 +386,19 @@ class ShardedEngine {
     };
     std::vector<Slot> slots;       ///< This hop's frontier, record-major.
     std::vector<Slot> next_slots;  ///< The next hop's frontier.
-    std::vector<int> slot_owner;
-    std::vector<size_t> asked;  ///< Per destination: slots to request.
-    std::vector<size_t> local_slots;
-    /// Per destination shard: this hop's request (items reused).
-    std::vector<FrontierRequest> requests;
-    std::vector<char> awaiting_from;
-    /// Per slot: its sampled neighbors as [begin, end) of `samples`
-    /// (local reads and foreign answers alike).
-    std::vector<std::pair<int64_t, int64_t>> sample_span;
-    std::vector<graph::TemporalNeighbor> samples;
+    /// This hop's slots grouped by owner, owners in rotation from this
+    /// shard: group r (owner (shard + r) % N) is
+    /// queries[group_begin[r], group_begin[r + 1]).
+    std::vector<graph::ShardedTemporalGraph::SampleQuery> queries;
+    std::vector<size_t> group_begin;
+    /// Per slot: its row of `samples` (its position in `queries`).
+    std::vector<uint32_t> slot_row;
+    graph::NeighborRows samples;  ///< One row per query.
     /// Hop entries in expansion (hop-major) order and their records,
     /// regrouped record-major into `hops` once the last hop is in.
     std::vector<graph::HopEntry> staged;
     std::vector<uint32_t> staged_record;
-    std::vector<int64_t> cursor;
+    std::vector<int64_t> cursor;  ///< Counting-sort cursor.
     graph::HopRows hops;
   };
   struct PropagateScratch {
@@ -432,44 +431,26 @@ class ShardedEngine {
     std::unique_ptr<core::NodeStateStore> store APAN_PT_GUARDED_BY(state_mu);
 
     /// Inbox lock. Jobs are bounded by Options::queue_capacity (client
-    /// back-pressure); messages are unbounded (see deadlock note above).
+    /// back-pressure); messages are unbounded (see the progress note
+    /// above).
     /// Lock order: a worker or caller holding `mu` never acquires another
     /// shard's `mu`, `state_mu`, or any engine mutex — inbox critical
     /// sections are push/pop only.
     util::Mutex mu;
     util::CondVar cv;
     std::deque<BatchJob> jobs APAN_GUARDED_BY(mu);
-    std::deque<ShardMessage> mail APAN_GUARDED_BY(mu);
+    std::deque<ShardPartial> mail APAN_GUARDED_BY(mu);
     size_t jobs_in_flight APAN_GUARDED_BY(mu) = 0;  ///< Queued + running.
     bool closed APAN_GUARDED_BY(mu) = false;
 
     /// Worker-local per-batch reassembly (worker thread only).
     std::map<int64_t, std::vector<ShardPartial>> pending;
     int64_t next_merge = 0;
-    /// Frontier requests for batches this slice has not appended yet;
-    /// re-checked after every slice append (worker thread only).
-    std::vector<FrontierRequest> deferred_requests;
 
-    /// Per-peer outbound message buffers (worker thread only). Handlers
-    /// buffer instead of sending; FlushOutbound hands each peer's run of
-    /// messages to Transport::SendBatch as ONE coalesced frame. Flush
-    /// points are placed so the buffer is always empty before the worker
-    /// can block (deadlock safety): after each hop's request fan-out,
-    /// after every dispatched message, and at the end of each job.
-    std::vector<std::vector<ShardMessage>> outbound;
-
-    /// Replay protection (worker thread only). A requester issues
-    /// frontier requests to a given owner at strictly increasing
-    /// (batch, hop) and never has two outstanding at once, so one
-    /// watermark per peer suffices to drop transport re-deliveries.
-    std::vector<ExpansionKey> accepted_request;  ///< Per requester shard.
-    ExpansionKey last_wait{-1, 0};  ///< Newest completed response wait.
-
-    /// Per-role scratch (worker thread only; see ExpandScratch).
+    /// Per-stage scratch (worker thread only; see ExpandScratch).
     ExpandScratch expand;
     PropagateScratch propagate;
     MergeScratch merge;
-    graph::NeighborRows answer;  ///< AnswerFrontierRequest's samples.
 
     std::thread worker;
   };
@@ -481,66 +462,53 @@ class ShardedEngine {
   void WorkerLoop(int shard_id) APAN_EXCLUDES(flush_mu_);
   void ProcessJob(int shard_id, BatchJob job) APAN_EXCLUDES(flush_mu_);
   /// Worker-side half of ResetState: runs on the shard's own thread so
-  /// the worker-confined replay state and graph slice stay thread-local.
+  /// the worker-confined merge state stays thread-local.
   void ResetShardLocal(int shard_id);
-  /// Worker-side halves of SnapshotShard / RestoreShard (same pattern).
+  /// Worker-side halves of SnapshotShard / RestoreShard / SetShardDown's
+  /// mark-up check (same pattern).
   Status SnapshotShardLocal(int shard_id, const BatchJob& job);
   Status RestoreShardLocal(int shard_id, const BatchJob& job);
+  Status CheckCaughtUpLocal(int shard_id, const BatchJob& job);
   /// Shared control-job submission: Flush, push one job to `shard`'s
   /// worker, wait for it, return the Status the worker wrote. Held
   /// infer_mu_ keeps InferBatch (and other control callers) out for the
   /// whole round trip.
   Status RunControlJob(int shard, BatchJob job)
       APAN_REQUIRES(infer_mu_) APAN_EXCLUDES(flush_mu_);
-  void DispatchMessage(int shard_id, ShardMessage message)
-      APAN_EXCLUDES(flush_mu_);
   void OnMail(int shard_id, ShardPartial partial) APAN_EXCLUDES(flush_mu_);
   void ApplyMergedBatch(int shard_id, std::vector<ShardPartial> parts)
       APAN_EXCLUDES(flush_mu_);
   /// Routes the job's z(t−) write-backs and the shard's propagate
-  /// scratch (hop-0 mail, partial sums) to the recipients' owners.
+  /// scratch (hop-0 mail, partial sums) to the recipients' owners: one
+  /// ShardPartial per shard, empty ones included.
   void RouteMail(int from_shard, const BatchJob& job);
-  /// Queues `message` in the sender worker's per-peer outbound buffer;
-  /// nothing crosses the transport until FlushOutbound. Worker thread
-  /// only.
-  void BufferMessage(int from_shard, int to_shard, ShardMessage message);
-  /// Hands every buffered run to Transport::SendBatch — one coalesced
-  /// frame per peer (the transport delivers back through EnqueueMessage,
-  /// possibly on another thread, possibly more than once) — and empties
-  /// the buffers. Worker thread only.
-  void FlushOutbound(int from_shard);
-  /// Retires the application legs of `batches` on `to_shard` after their
-  /// ShardPartials were shed (peer down, or send refused even after the
-  /// transport's own lane recovery): erases the peer from each batch's
-  /// apply_remaining_ set and decrements inflight_ once per leg actually
-  /// present, so Flush cannot wedge on a merge the dead peer will never
-  /// perform.
-  void CompensateLostPartials(int to_shard,
-                              const std::vector<int64_t>& batches)
+  /// Hands one partial to the transport (which delivers it through
+  /// EnqueueMessage, possibly on another thread, possibly more than
+  /// once). A partial from or to a down shard is shed before the
+  /// transport, and one the transport refuses even after its own lane
+  /// recovery marks the recipient down; either way the recipient's
+  /// application leg is retired so Flush cannot wedge on a merge that
+  /// will never happen. Worker thread only.
+  void SendPartial(int from_shard, int to_shard, ShardPartial partial)
+      APAN_EXCLUDES(flush_mu_);
+  /// Retires `shard`'s application leg of `batch`: erases the shard from
+  /// the batch's apply_remaining_ set and decrements inflight_. A leg
+  /// already retired is a no-op — its partial was shed and a held
+  /// duplicate merged anyway, or the reverse. `merged` (the leg ran, not
+  /// shed) counts a completed batch in Stats::batches_propagated.
+  void RetireApplyLeg(int shard, int64_t batch, bool merged)
       APAN_EXCLUDES(flush_mu_);
   /// Transport delivery handler: pushes onto the target shard's inbox.
   void EnqueueMessage(int to_shard, ShardMessage message);
   void CountDuplicateDropped(int shard_id);
 
   /// k-hop expansion for a job's records against the sharded graph
-  /// as-of the job's batch: local frontiers sampled from the own slice,
-  /// foreign frontiers forwarded to their owners. The result is the
-  /// shard's expand.hops (one row per record, in the monolithic
-  /// per-record KHopMostRecent order).
+  /// as-of the job's batch: each hop's frontier is sampled slice by
+  /// slice, owner by owner (graph::ShardedTemporalGraph::SampleAsOf
+  /// waits for a foreign owner's watermark). The result is the shard's
+  /// expand.hops (one row per record, in the monolithic per-record
+  /// KHopMostRecent order).
   void ExpandKHop(int shard_id, const BatchJob& job);
-  /// Blocks until each shard flagged in expand.awaiting_from responded
-  /// for (batch, hop), serving interleaved requests/partials from the own
-  /// inbox meanwhile; answers land in expand.samples / sample_span.
-  /// Re-delivered responses are dropped by tag.
-  /// \return wall milliseconds spent inside the call, so ExpandKHop can
-  /// attribute it to stage.frontier_wait instead of stage.sample (the
-  /// time spent *dispatching* interleaved messages is subtracted out
-  /// again internally — nested handlers record their own stages).
-  double WaitForFrontierResponses(int shard_id, int64_t batch, int32_t hop);
-  void HandleFrontierRequest(int shard_id, FrontierRequest request);
-  void AnswerFrontierRequest(int shard_id, const FrontierRequest& request);
-  /// Answers deferred requests the latest slice append unblocked.
-  void ServeDeferredRequests(int shard_id);
 
   /// Const-only while running: weights are read through model_->weights();
   /// all mutable serve state lives in the per-shard stores above.
@@ -559,9 +527,10 @@ class ShardedEngine {
 
   /// Per-shard down flags (SetShardDown), sized num_shards at
   /// construction and never resized. Atomics because the readers span
-  /// lock domains — InferBatch under infer_mu_, FlushOutbound and
+  /// lock domains — InferBatch under infer_mu_, SendPartial and
   /// ExpandKHop on worker threads under no engine lock — and the flag
-  /// only flips at a flushed quiescent point, so relaxed reads suffice.
+  /// only flips at a flushed quiescent point (or to down on a dead
+  /// lane), so relaxed reads suffice.
   std::vector<std::atomic<bool>> shard_down_;
 
   /// Serializes Shutdown callers end-to-end. Outermost engine lock:
@@ -630,7 +599,6 @@ class ShardedEngine {
     obs::Histogram* stage_append = nullptr;
     obs::Histogram* stage_sample = nullptr;
     obs::Histogram* stage_frontier_wait = nullptr;
-    obs::Histogram* stage_frontier_serve = nullptr;
     obs::Histogram* stage_propagate = nullptr;
     obs::Histogram* stage_route = nullptr;
     obs::Histogram* stage_idle = nullptr;

@@ -126,13 +126,6 @@ std::vector<uint8_t> EncodeShardSnapshot(const ShardSnapshot& snap) {
   PutI64(&payload, snap.slice.watermark);
   // Replay/dedup state.
   PutI64(&payload, snap.next_merge);
-  PutU64(&payload, snap.accepted_request.size());
-  for (const auto& [batch, hop] : snap.accepted_request) {
-    PutI64(&payload, batch);
-    PutI32(&payload, hop);
-  }
-  PutI64(&payload, snap.last_wait_batch);
-  PutI32(&payload, snap.last_wait_hop);
 
   APAN_CHECK_MSG(payload.size() <= kMaxPayloadBytes,
                  "snapshot: payload exceeds kMaxPayloadBytes");
@@ -276,19 +269,6 @@ Result<ShardSnapshot> DecodeShardSnapshot(std::span<const uint8_t> bytes) {
   APAN_RETURN_NOT_OK(r.ReadI64(&snap.slice.watermark, "slice.watermark"));
 
   APAN_RETURN_NOT_OK(r.ReadI64(&snap.next_merge, "next_merge"));
-  APAN_RETURN_NOT_OK(r.ReadCount(&count, 12, "accepted_request"));
-  if (count != static_cast<uint64_t>(snap.num_shards)) {
-    return Status::IoError(internal::StrCat(
-        "snapshot: ", count, " per-peer frontier watermarks for ",
-        snap.num_shards, " shards"));
-  }
-  snap.accepted_request.resize(static_cast<size_t>(count));
-  for (auto& [batch, hop] : snap.accepted_request) {
-    APAN_RETURN_NOT_OK(r.ReadI64(&batch, "accepted.batch"));
-    APAN_RETURN_NOT_OK(r.ReadI32(&hop, "accepted.hop"));
-  }
-  APAN_RETURN_NOT_OK(r.ReadI64(&snap.last_wait_batch, "last_wait_batch"));
-  APAN_RETURN_NOT_OK(r.ReadI32(&snap.last_wait_hop, "last_wait_hop"));
 
   if (r.remaining() != 0) {
     return Status::IoError(internal::StrCat(

@@ -6,8 +6,8 @@
 // timestamps + ring bookkeeping + the sorted slot permutation + z(t−)
 // rows), its ShardedTemporalGraph slice (adjacency rows with ordinals,
 // homed event log, append watermark), and the replay/dedup state the
-// at-least-once transport contract depends on (merge cursor, per-peer
-// frontier watermarks, engine batch/ordinal numbering). Restoring a
+// at-least-once transport contract depends on (merge cursor, engine
+// batch/ordinal numbering). Restoring a
 // snapshot reproduces the shard bitwise, so replaying the event tail from
 // the snapshot's batch watermark yields a mailbox identical to a run that
 // never crashed.
@@ -37,7 +37,6 @@
 #include <cstdint>
 #include <span>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "graph/sharded_temporal_graph.h"
@@ -52,7 +51,8 @@ inline constexpr uint32_t kMagic = 0x4e535041u;
 
 /// Current format version. Bump on any layout change; decoding rejects
 /// every other version (forward and backward) with InvalidArgument.
-inline constexpr uint32_t kVersion = 1;
+/// Version 2 dropped version 1's per-peer frontier watermarks.
+inline constexpr uint32_t kVersion = 2;
 
 /// Bytes before the payload (magic + version + payload length).
 inline constexpr size_t kHeaderBytes = 16;
@@ -97,10 +97,6 @@ struct ShardSnapshot {
 
   // ---- Replay/dedup state (worker-confined fields of the shard) --------
   int64_t next_merge = 0;
-  /// Per sending peer, the highest accepted frontier (batch, hop).
-  std::vector<std::pair<int64_t, int32_t>> accepted_request;
-  int64_t last_wait_batch = -1;
-  int32_t last_wait_hop = 0;
 };
 
 /// CRC-32 (IEEE 802.3 polynomial, reflected) over `bytes`.

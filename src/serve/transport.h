@@ -1,8 +1,7 @@
 // The pluggable shard-to-shard messaging plane.
 //
-// serve::ShardedEngine routes every cross-shard interaction — mail
-// partials, z(t−) write-backs, frontier requests and responses — through a
-// Transport. The engine only assumes:
+// serve::ShardedEngine routes every cross-shard message — mail partials
+// and z(t−) write-backs — through a Transport. The engine only assumes:
 //
 //   · at-least-once delivery: every accepted Send is delivered at least
 //     once before Stop() returns (duplicates are allowed — the engine

@@ -11,13 +11,13 @@ namespace {
 using namespace codec;
 
 // Payload kind tags. Values are part of the wire format — append only.
+// Kinds 2 and 3 (a retired request/response pair) are never reassigned
+// and decode as unknown.
 constexpr uint8_t kShardPartialKind = 1;
-constexpr uint8_t kFrontierRequestKind = 2;
-constexpr uint8_t kFrontierResponseKind = 3;
 // A coalesced batch of single-message payloads (never nested).
 constexpr uint8_t kBatchKind = 4;
 
-// ---- Flat blocks -----------------------------------------------------------
+// ---- Mail block ------------------------------------------------------------
 
 void PutMailRows(std::vector<uint8_t>* out, const core::MailRows& m) {
   PutI64Vec(out, m.node);
@@ -26,16 +26,6 @@ void PutMailRows(std::vector<uint8_t>* out, const core::MailRows& m) {
   PutI64Vec(out, m.tag);
   PutI64(out, m.dim);
   PutF32Vec(out, m.payload);
-}
-
-void PutNeighborRows(std::vector<uint8_t>* out, const graph::NeighborRows& m) {
-  PutI64Vec(out, m.offsets);
-  PutU64(out, m.entries.size());
-  for (const graph::TemporalNeighbor& n : m.entries) {
-    PutI64(out, n.node);
-    PutI64(out, n.edge_id);
-    PutF64(out, n.timestamp);
-  }
 }
 
 /// Reads a flat mail block and validates its shape: the four per-row
@@ -70,44 +60,7 @@ Status ReadMailRows(Reader* r, core::MailRows* m, const char* what) {
   return Status::OK();
 }
 
-/// Reads a CSR neighbor block and validates its offsets: empty (no
-/// rows, no entries) or starting at 0, never decreasing, and ending at
-/// the entry count.
-Status ReadNeighborRows(Reader* r, graph::NeighborRows* m,
-                        const char* what) {
-  APAN_RETURN_NOT_OK(r->ReadI64Vec(&m->offsets, what));
-  uint64_t count = 0;
-  APAN_RETURN_NOT_OK(r->ReadCount(&count, 24, what));
-  m->entries.resize(static_cast<size_t>(count));
-  for (graph::TemporalNeighbor& n : m->entries) {
-    APAN_RETURN_NOT_OK(r->ReadI64(&n.node, "neighbor.node"));
-    APAN_RETURN_NOT_OK(r->ReadI64(&n.edge_id, "neighbor.edge_id"));
-    APAN_RETURN_NOT_OK(r->ReadF64(&n.timestamp, "neighbor.timestamp"));
-  }
-  const std::vector<int64_t>& offsets = m->offsets;
-  const auto entries = static_cast<int64_t>(m->entries.size());
-  if (offsets.empty()) {
-    if (entries != 0) {
-      return Status::IoError(internal::StrCat(
-          "wire: ", what, " has ", entries, " entries but no offsets"));
-    }
-    return Status::OK();
-  }
-  if (offsets.front() != 0 || offsets.back() != entries) {
-    return Status::IoError(internal::StrCat(
-        "wire: ", what, " offsets span [", offsets.front(), ", ",
-        offsets.back(), "], not [0, ", entries, "]"));
-  }
-  for (size_t i = 1; i < offsets.size(); ++i) {
-    if (offsets[i] < offsets[i - 1]) {
-      return Status::IoError(internal::StrCat(
-          "wire: ", what, " offsets decrease at row ", i - 1));
-    }
-  }
-  return Status::OK();
-}
-
-// ---- Per-kind bodies -------------------------------------------------------
+// ---- ShardPartial body ------------------------------------------------------
 
 void EncodeBody(std::vector<uint8_t>* out, const ShardPartial& m) {
   PutI64(out, m.batch);
@@ -137,74 +90,9 @@ Status DecodeBody(Reader* r, ShardPartial* m) {
   return Status::OK();
 }
 
-void EncodeBody(std::vector<uint8_t>* out, const FrontierRequest& m) {
-  PutI64(out, m.batch);
-  PutI32(out, m.hop);
-  PutI32(out, m.from_shard);
-  PutI64(out, m.ordinal_limit);
-  PutI64(out, m.fanout);
-  PutU64(out, m.items.size());
-  for (const FrontierItem& item : m.items) {
-    PutI64(out, item.slot);
-    PutI64(out, item.node);
-    PutF64(out, item.before_time);
-  }
-}
-
-Status DecodeBody(Reader* r, FrontierRequest* m) {
-  APAN_RETURN_NOT_OK(r->ReadI64(&m->batch, "request.batch"));
-  APAN_RETURN_NOT_OK(r->ReadI32(&m->hop, "request.hop"));
-  APAN_RETURN_NOT_OK(r->ReadI32(&m->from_shard, "request.from_shard"));
-  APAN_RETURN_NOT_OK(r->ReadI64(&m->ordinal_limit, "request.ordinal_limit"));
-  APAN_RETURN_NOT_OK(r->ReadI64(&m->fanout, "request.fanout"));
-  uint64_t count = 0;
-  APAN_RETURN_NOT_OK(r->ReadCount(&count, 24, "request.items"));
-  m->items.resize(static_cast<size_t>(count));
-  for (FrontierItem& item : m->items) {
-    APAN_RETURN_NOT_OK(r->ReadI64(&item.slot, "item.slot"));
-    APAN_RETURN_NOT_OK(r->ReadI64(&item.node, "item.node"));
-    APAN_RETURN_NOT_OK(r->ReadF64(&item.before_time, "item.before_time"));
-  }
-  return Status::OK();
-}
-
-void EncodeBody(std::vector<uint8_t>* out, const FrontierResponse& m) {
-  PutI64(out, m.batch);
-  PutI32(out, m.hop);
-  PutI32(out, m.from_shard);
-  PutI64Vec(out, m.slots);
-  PutNeighborRows(out, m.neighbors);
-}
-
-Status DecodeBody(Reader* r, FrontierResponse* m) {
-  APAN_RETURN_NOT_OK(r->ReadI64(&m->batch, "response.batch"));
-  APAN_RETURN_NOT_OK(r->ReadI32(&m->hop, "response.hop"));
-  APAN_RETURN_NOT_OK(r->ReadI32(&m->from_shard, "response.from_shard"));
-  APAN_RETURN_NOT_OK(r->ReadI64Vec(&m->slots, "response.slots"));
-  APAN_RETURN_NOT_OK(ReadNeighborRows(r, &m->neighbors, "response.neighbors"));
-  if (m->neighbors.rows() != m->slots.size()) {
-    return Status::IoError(internal::StrCat(
-        "wire: response answers ", m->slots.size(), " slots with ",
-        m->neighbors.rows(), " neighbor rows"));
-  }
-  return Status::OK();
-}
-
-}  // namespace
-
-namespace {
-
 void EncodePayloadTo(const ShardMessage& message, std::vector<uint8_t>* out) {
-  if (const auto* partial = std::get_if<ShardPartial>(&message)) {
-    PutU8(out, kShardPartialKind);
-    EncodeBody(out, *partial);
-  } else if (const auto* request = std::get_if<FrontierRequest>(&message)) {
-    PutU8(out, kFrontierRequestKind);
-    EncodeBody(out, *request);
-  } else {
-    PutU8(out, kFrontierResponseKind);
-    EncodeBody(out, std::get<FrontierResponse>(message));
-  }
+  PutU8(out, kShardPartialKind);
+  EncodeBody(out, message);
 }
 
 }  // namespace
@@ -219,30 +107,12 @@ Result<ShardMessage> DecodeMessage(std::span<const uint8_t> payload) {
   Reader reader(payload, "wire");
   uint8_t kind = 0;
   APAN_RETURN_NOT_OK(reader.ReadU8(&kind, "kind"));
-  ShardMessage message;
-  switch (kind) {
-    case kShardPartialKind: {
-      ShardPartial m;
-      APAN_RETURN_NOT_OK(DecodeBody(&reader, &m));
-      message = std::move(m);
-      break;
-    }
-    case kFrontierRequestKind: {
-      FrontierRequest m;
-      APAN_RETURN_NOT_OK(DecodeBody(&reader, &m));
-      message = std::move(m);
-      break;
-    }
-    case kFrontierResponseKind: {
-      FrontierResponse m;
-      APAN_RETURN_NOT_OK(DecodeBody(&reader, &m));
-      message = std::move(m);
-      break;
-    }
-    default:
-      return Status::IoError(internal::StrCat(
-          "wire: unknown message kind ", static_cast<int>(kind)));
+  if (kind != kShardPartialKind) {
+    return Status::IoError(internal::StrCat(
+        "wire: unknown message kind ", static_cast<int>(kind)));
   }
+  ShardMessage message;
+  APAN_RETURN_NOT_OK(DecodeBody(&reader, &message));
   if (reader.remaining() != 0) {
     return Status::IoError(internal::StrCat(
         "wire: ", reader.remaining(), " trailing bytes after message"));

@@ -18,15 +18,14 @@
 // All integers are little-endian fixed-width; floating-point values are
 // bit-cast to the same-width integer, so a round trip is bitwise exact for
 // every representable value (negative zero, NaN payloads, ±inf). Vectors
-// are a u64 count followed by the elements. Mail travels as flat blocks
-// (core::MailRows, graph::NeighborRows); docs/serving.md has the full
-// body grammar.
+// are a u64 count followed by the elements. Mail travels as one flat
+// block (core::MailRows); docs/serving.md has the full body grammar.
 //
 // Decoding is defensive: every read is bounds-checked, vector counts are
 // validated against the bytes actually remaining before any allocation,
-// every flat block's shape is validated (equal-length per-row arrays,
-// payload = rows × dim, CSR offsets from 0, non-decreasing, ending at the
-// entry count), and a payload with trailing bytes is rejected — a
+// the mail block's shape is validated (equal-length per-row arrays,
+// payload = rows × dim, sections within the rows), and a payload with
+// trailing bytes is rejected — a
 // truncated or corrupt frame yields a non-OK Status, never UB. Encoders
 // and decoders are pure functions with no shared state; they are safe to
 // call from any thread.
@@ -72,8 +71,8 @@ void AppendFrame(const ShardMessage& message, std::vector<uint8_t>* out);
 void AppendBatchFrame(std::span<const ShardMessage> messages,
                       std::vector<uint8_t>* out);
 
-/// \brief Parses a frame payload that is either a single message (kinds
-/// 1–3 — returns a one-element vector) or a kind-4 batch. Rejects nested
+/// \brief Parses a frame payload that is either a single message (kind 1
+/// — returns a one-element vector) or a kind-4 batch. Rejects nested
 /// batches, empty batches, and every single-message corruption mode
 /// (truncation, bad counts, trailing bytes — inside each element and
 /// around the batch envelope).

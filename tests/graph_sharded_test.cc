@@ -3,8 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
+#include <chrono>
 #include <limits>
 #include <span>
+#include <thread>
 #include <vector>
 
 #include "graph/sampling.h"
@@ -270,8 +273,7 @@ TEST(ShardedTemporalGraphTest, SlicedMemoryIsOnceNotPerShard) {
 // frontier nodes are owned by a *foreign* shard still sees only events
 // strictly before before_time — on the sliced graph exactly as on the
 // monolithic one. The expansion below mirrors serve::ShardedEngine's
-// frontier forwarding: every frontier node is sampled from its owner's
-// slice.
+// k-hop expansion: every frontier node is sampled from its owner's slice.
 TEST(ShardedTemporalGraphProperty, CrossShardTwoHopNoFutureLeakage) {
   const int64_t nodes = 30;
   const int shards = 4;
@@ -293,9 +295,9 @@ TEST(ShardedTemporalGraphProperty, CrossShardTwoHopNoFutureLeakage) {
     const auto expected =
         KHopMostRecent(mono, seeds, before_time, 2, fanout);
 
-    // Sliced: hop by hop, each frontier node sampled at its owner shard
-    // (what the engine's frontier requests do), reassembled in frontier
-    // order.
+    // Sliced: hop by hop, each frontier node sampled from its owner's
+    // slice (what the engine's foreign-slice reads do), reassembled in
+    // frontier order.
     std::vector<HopEntry> actual;
     std::vector<NodeId> frontier = seeds;
     for (int32_t hop = 1; hop <= 2; ++hop) {
@@ -329,6 +331,158 @@ TEST(ShardedTemporalGraphProperty, CrossShardTwoHopNoFutureLeakage) {
   // The property must actually have exercised foreign-owned hop-2
   // frontiers, or the test proves nothing about shard boundaries.
   EXPECT_GT(foreign_hop2_frontiers, 100);
+}
+
+// ---- Concurrent append and foreign reads ------------------------------------
+// The engine's workers read each other's slices directly: a worker
+// expanding batch b waits under the slice lock until the owner appended
+// batch b-1, then samples as of b. These run owners and readers on real
+// threads (and under the TSan and ASan+UBSan tiers, via the `state`
+// label).
+
+bool SameRows(std::span<const TemporalNeighbor> a,
+              const std::vector<TemporalNeighbor>& b) {
+  if (a.size() != b.size()) return false;
+  for (size_t i = 0; i < a.size(); ++i) {
+    if (a[i].node != b[i].node || a[i].edge_id != b[i].edge_id ||
+        a[i].timestamp != b[i].timestamp) {
+      return false;
+    }
+  }
+  return true;
+}
+
+TEST(ShardedTemporalGraphTest, ForeignReadBlocksUntilOwnerAppendsPrevious) {
+  const int64_t nodes = 16;
+  ShardedTemporalGraph sliced(2, nodes);
+  TemporalGraph mono(nodes);
+  std::vector<Event> batch0;
+  for (NodeId v = 0; v + 1 < nodes; ++v) {
+    batch0.push_back({v, v + 1, static_cast<double>(v), -1});
+  }
+  for (const Event& e : batch0) ASSERT_TRUE(mono.AddEvent(e).ok());
+  std::vector<ShardedTemporalGraph::SampleQuery> queries;
+  for (NodeId v = 0; v < nodes; ++v) {
+    if (sliced.OwnerOf(v) == 1) queries.push_back({v, 100.0});
+  }
+  ASSERT_FALSE(queries.empty());
+  const auto limit = static_cast<int64_t>(batch0.size());
+
+  // A read as of batch 0 needs nothing appended: it returns at once, and
+  // empty.
+  NeighborRows rows;
+  EXPECT_EQ(sliced.SampleAsOf(1, 0, queries, 3, 0, &rows), 0.0);
+  ASSERT_EQ(rows.rows(), queries.size());
+  EXPECT_TRUE(rows.entries.empty());
+
+  // As of batch 1 it must wait for shard 1's append of batch 0 — shard
+  // 0's append does not release it.
+  ASSERT_TRUE(sliced.AppendBatchSlice(0, 0, batch0, 0).ok());
+  rows.Clear();
+  std::atomic<bool> returned{false};
+  double waited_ms = 0.0;
+  std::thread reader([&] {
+    waited_ms = sliced.SampleAsOf(1, 1, queries, 3, limit, &rows);
+    returned.store(true);
+  });
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  EXPECT_FALSE(returned.load()) << "read as of batch 1 ran before batch 0";
+  ASSERT_TRUE(sliced.AppendBatchSlice(1, 0, batch0, 0).ok());
+  reader.join();
+  EXPECT_TRUE(returned.load());
+  EXPECT_GT(waited_ms, 0.0);
+  ASSERT_EQ(rows.rows(), queries.size());
+  for (size_t q = 0; q < queries.size(); ++q) {
+    EXPECT_TRUE(SameRows(rows.Row(q),
+                         mono.MostRecentNeighbors(queries[q].node, 100.0, 3)))
+        << "node " << queries[q].node;
+  }
+}
+
+TEST(ShardedTemporalGraphTest, ConcurrentAppendAndForeignReadsMatchMonolithic) {
+  const int64_t nodes = 40;
+  const int shards = 4;
+  const size_t batch_size = 8;
+  const int64_t num_batches = 60;
+  const int64_t fanout = 4;
+  Rng rng(2024);
+  std::vector<Event> events;
+  double t = 0.0;
+  for (int64_t i = 0; i < num_batches * static_cast<int64_t>(batch_size);
+       ++i) {
+    t += rng.Exponential(1.0);
+    events.push_back({static_cast<NodeId>(rng.UniformInt(nodes)),
+                      static_cast<NodeId>(rng.UniformInt(nodes)), t, -1});
+  }
+  const auto batch_of = [&](int64_t b) {
+    return std::span<const Event>(events).subspan(
+        static_cast<size_t>(b) * batch_size, batch_size);
+  };
+  // expected[b][v]: v's as-of rows for batch b — a monolithic graph of
+  // batches 0..b-1, sampled before batch b's first event.
+  std::vector<std::vector<std::vector<TemporalNeighbor>>> expected(
+      static_cast<size_t>(num_batches));
+  TemporalGraph prefix(nodes);
+  for (int64_t b = 0; b < num_batches; ++b) {
+    const double before = batch_of(b).front().timestamp;
+    for (NodeId v = 0; v < nodes; ++v) {
+      expected[static_cast<size_t>(b)].push_back(
+          prefix.MostRecentNeighbors(v, before, fanout));
+    }
+    for (const Event& e : batch_of(b)) ASSERT_TRUE(prefix.AddEvent(e).ok());
+  }
+
+  // Per shard, an owner appending its slice batch by batch and a reader
+  // sampling every other shard's slice as of each batch — the engine's
+  // worker pattern without the engine. Owners never wait, so readers
+  // always finish.
+  ShardedTemporalGraph sliced(shards, nodes);
+  std::atomic<int64_t> append_failures{0};
+  std::atomic<int64_t> mismatches{0};
+  std::atomic<int64_t> rows_checked{0};
+  std::vector<std::thread> threads;
+  for (int s = 0; s < shards; ++s) {
+    threads.emplace_back([&, s] {
+      for (int64_t b = 0; b < num_batches; ++b) {
+        const auto base = b * static_cast<int64_t>(batch_size);
+        if (!sliced.AppendBatchSlice(s, b, batch_of(b), base).ok()) {
+          ++append_failures;
+        }
+      }
+    });
+    threads.emplace_back([&, s] {
+      std::vector<ShardedTemporalGraph::SampleQuery> queries;
+      NeighborRows rows;
+      for (int64_t b = 0; b < num_batches; ++b) {
+        const double before = batch_of(b).front().timestamp;
+        for (int owner = 0; owner < shards; ++owner) {
+          if (owner == s) continue;
+          queries.clear();
+          for (NodeId v = 0; v < nodes; ++v) {
+            if (sliced.OwnerOf(v) == owner) queries.push_back({v, before});
+          }
+          rows.Clear();
+          sliced.SampleAsOf(owner, b, queries, fanout,
+                            b * static_cast<int64_t>(batch_size), &rows);
+          for (size_t q = 0; q < queries.size(); ++q) {
+            const auto& want = expected[static_cast<size_t>(b)]
+                                       [static_cast<size_t>(queries[q].node)];
+            if (rows.rows() != queries.size() ||
+                !SameRows(rows.Row(q), want)) {
+              ++mismatches;
+            }
+            ++rows_checked;
+          }
+        }
+      }
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+  EXPECT_EQ(append_failures.load(), 0);
+  EXPECT_EQ(mismatches.load(), 0);
+  // Every reader checked every foreign node at every batch.
+  EXPECT_EQ(rows_checked.load(), (shards - 1) * nodes * num_batches);
+  for (int s = 0; s < shards; ++s) EXPECT_EQ(sliced.watermark(s), num_batches);
 }
 
 }  // namespace

@@ -254,7 +254,7 @@ TEST(DegradationTest, DownShardShedsWithoutBlockingThenRecoversByReset) {
   auto run = MakeEngine(f, MakeTransportFactory(TransportKind::kInProcess));
   Stream(f, *run.engine, 0, 80, batch);
   run.engine->Flush();
-  run.engine->SetShardDown(3, true);
+  ASSERT_TRUE(run.engine->SetShardDown(3, true).ok());
   // Healthy shards must keep accepting and flushing while shard 3's
   // traffic is shed — a wedge here would hang the test.
   Stream(f, *run.engine, 80, events, batch);
@@ -264,9 +264,10 @@ TEST(DegradationTest, DownShardShedsWithoutBlockingThenRecoversByReset) {
   EXPECT_GT(degraded.sends_shed, 0);
   // Rejoin after an administrative down requires a state resync (the
   // shard missed real traffic); reset + full replay is the cheapest one,
-  // and must land bitwise on the never-degraded reference.
-  run.engine->SetShardDown(3, false);
+  // and must land bitwise on the never-degraded reference. The reset
+  // comes first: marking up a shard that missed batches is refused.
   run.engine->ResetState();
+  ASSERT_TRUE(run.engine->SetShardDown(3, false).ok());
   Stream(f, *run.engine, 0, events, batch);
   run.engine->Flush();
   ExpectStitchedMailboxEqual(*run.engine, oracle.model(), f.config.num_nodes);
@@ -280,12 +281,58 @@ TEST(DegradationTest, DownShardShedsOverUnixSocket) {
   auto run = MakeEngine(f, MakeTransportFactory(TransportKind::kUnixSocket));
   Stream(f, *run.engine, 0, 40, 40);
   run.engine->Flush();
-  run.engine->SetShardDown(1, true);
+  ASSERT_TRUE(run.engine->SetShardDown(1, true).ok());
   Stream(f, *run.engine, 40, 160, 40);
   run.engine->Flush();
   const auto stats = run.engine->stats();
   EXPECT_GT(stats.events_shed, 0);
   EXPECT_GT(stats.sends_shed, 0);
+}
+
+TEST(DegradationTest, OutOfRangeShardIsInvalidArgument) {
+  Fixture f;
+  auto run = MakeEngine(f, MakeTransportFactory(TransportKind::kInProcess));
+  for (const int shard : {7, 4, -1}) {
+    for (const bool down : {true, false}) {
+      const Status status = run.engine->SetShardDown(shard, down);
+      EXPECT_TRUE(status.IsInvalidArgument()) << shard << ": " << status;
+    }
+  }
+  // The engine is unchanged and keeps serving.
+  Stream(f, *run.engine, 0, 80, 40);
+  run.engine->Flush();
+  EXPECT_EQ(run.engine->stats().events_shed, 0);
+  EXPECT_EQ(run.engine->stats().batches_propagated, 2);
+}
+
+TEST(DegradationTest, MarkingUpAShardThatMissedBatchesIsRefused) {
+  Fixture f;
+  const size_t events = 200, batch = 40;
+  const auto oracle = RunOracle(f, events, batch);
+  auto run = MakeEngine(f, MakeTransportFactory(TransportKind::kInProcess));
+  Stream(f, *run.engine, 0, 80, batch);
+  ASSERT_TRUE(run.engine->SetShardDown(3, true).ok());
+  Stream(f, *run.engine, 80, 160, batch);
+  // Shard 3's slice and merge cursor stopped at batch 2; the engine is
+  // at batch 4. Marking it up would leave the next batch's append out of
+  // order and every reader of its slice waiting on its watermark.
+  const Status refused = run.engine->SetShardDown(3, false);
+  EXPECT_TRUE(refused.IsFailedPrecondition()) << refused;
+  EXPECT_EQ(run.engine->sharded_graph().watermark(3), 2);
+  // Still down, still serving: the next batch sheds shard 3 again.
+  const int64_t shed_before = run.engine->stats().events_shed;
+  Stream(f, *run.engine, 160, events, batch);
+  run.engine->Flush();
+  EXPECT_GT(run.engine->stats().events_shed, shed_before);
+  // A shard that never went down is already caught up.
+  EXPECT_TRUE(run.engine->SetShardDown(0, false).ok());
+  // Reset resynchronizes every shard, after which the rejoin is accepted
+  // and a full replay lands bitwise on the never-degraded reference.
+  run.engine->ResetState();
+  ASSERT_TRUE(run.engine->SetShardDown(3, false).ok());
+  Stream(f, *run.engine, 0, events, batch);
+  run.engine->Flush();
+  ExpectStitchedMailboxEqual(*run.engine, oracle.model(), f.config.num_nodes);
 }
 
 }  // namespace

@@ -81,10 +81,7 @@ bool Equal(const ShardSnapshot& a, const ShardSnapshot& b) {
       return false;
     }
   }
-  return a.next_merge == b.next_merge &&
-         a.accepted_request == b.accepted_request &&
-         a.last_wait_batch == b.last_wait_batch &&
-         a.last_wait_hop == b.last_wait_hop;
+  return a.next_merge == b.next_merge;
 }
 
 /// A small but fully-populated snapshot: every plane non-trivial, every
@@ -120,9 +117,6 @@ ShardSnapshot RichSnapshot() {
   snap.slice.latest_timestamp = 2.0;
   snap.slice.watermark = 7;
   snap.next_merge = 7;
-  snap.accepted_request = {{6, 1}, {6, 0}, {-1, 0}, {6, 1}};
-  snap.last_wait_batch = 6;
-  snap.last_wait_hop = 1;
   return snap;
 }
 
@@ -145,7 +139,6 @@ ShardSnapshot EmptySnapshot() {
   snap.mailbox_order.assign(2 * 2, 0);
   snap.z_rows.assign(2 * 3, 0.0f);
   snap.slice.rows.resize(2);
-  snap.accepted_request = {{-1, 0}, {-1, 0}};
   return snap;
 }
 
@@ -245,6 +238,18 @@ TEST(SnapshotTest, VersionSkewRejected) {
   // CRC-covered (the CRC guards the payload), so this isolates the
   // version check.
   bytes[4] = static_cast<uint8_t>(kVersion + 1);
+  Result<ShardSnapshot> decoded = DecodeShardSnapshot(bytes);
+  ASSERT_FALSE(decoded.ok());
+  EXPECT_EQ(decoded.status().code(), StatusCode::kInvalidArgument);
+}
+
+TEST(SnapshotTest, VersionOneImageRejected) {
+  // Version 1 carried per-peer frontier watermarks after the merge
+  // cursor; a version-1 image must be refused at the header, before its
+  // payload is parsed against the version-2 layout.
+  ASSERT_EQ(kVersion, 2u);
+  std::vector<uint8_t> bytes = EncodeShardSnapshot(RichSnapshot());
+  bytes[4] = 1;
   Result<ShardSnapshot> decoded = DecodeShardSnapshot(bytes);
   ASSERT_FALSE(decoded.ok());
   EXPECT_EQ(decoded.status().code(), StatusCode::kInvalidArgument);

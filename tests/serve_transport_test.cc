@@ -316,16 +316,16 @@ TEST(TransportShutdownTest, ShutdownUnderLoadFlushesHeldFaultFrames) {
 
 TEST(TransportTest, SendBeforeStartFails) {
   InProcessTransport inproc;
-  EXPECT_FALSE(inproc.Send(0, 0, ShardMessage(FrontierRequest{})).ok());
+  EXPECT_FALSE(inproc.Send(0, 0, ShardPartial{}).ok());
   UnixSocketTransport uds;
-  EXPECT_FALSE(uds.Send(0, 0, ShardMessage(FrontierRequest{})).ok());
+  EXPECT_FALSE(uds.Send(0, 0, ShardPartial{}).ok());
 }
 
 TEST(TransportTest, SendAfterStopFails) {
   InProcessTransport inproc;
   ASSERT_TRUE(inproc.Start(2, [](int, ShardMessage) {}).ok());
   inproc.Stop();
-  EXPECT_FALSE(inproc.Send(0, 1, ShardMessage(FrontierRequest{})).ok());
+  EXPECT_FALSE(inproc.Send(0, 1, ShardPartial{}).ok());
 }
 
 TEST(TransportTest, UnixSocketDeliversAcrossLanes) {
@@ -339,15 +339,15 @@ TEST(TransportTest, UnixSocketDeliversAcrossLanes) {
                         [&](int to, ShardMessage m) {
                           std::lock_guard<std::mutex> lock(mu);
                           received.emplace_back(
-                              to, std::get<FrontierRequest>(m).batch);
+                              to, m.batch);
                         })
                   .ok());
   for (int from = 0; from < 3; ++from) {
     for (int to = 0; to < 3; ++to) {
-      FrontierRequest request;
-      request.batch = from * 3 + to;
-      request.from_shard = from;
-      ASSERT_TRUE(uds.Send(from, to, ShardMessage(std::move(request))).ok());
+      ShardPartial partial;
+      partial.batch = from * 3 + to;
+      partial.from_shard = from;
+      ASSERT_TRUE(uds.Send(from, to, std::move(partial)).ok());
     }
   }
   uds.Stop();  // drains every accepted frame before returning

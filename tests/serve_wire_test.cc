@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <string>
 
 #include "util/random.h"
 
@@ -49,50 +50,6 @@ bool Equal(const ShardPartial& a, const ShardPartial& b) {
          a.num_hop0 == b.num_hop0;
 }
 
-bool Equal(const FrontierRequest& a, const FrontierRequest& b) {
-  if (a.batch != b.batch || a.hop != b.hop || a.from_shard != b.from_shard ||
-      a.ordinal_limit != b.ordinal_limit || a.fanout != b.fanout ||
-      a.items.size() != b.items.size()) {
-    return false;
-  }
-  for (size_t i = 0; i < a.items.size(); ++i) {
-    if (a.items[i].slot != b.items[i].slot ||
-        a.items[i].node != b.items[i].node ||
-        !SameBits(a.items[i].before_time, b.items[i].before_time)) {
-      return false;
-    }
-  }
-  return true;
-}
-
-bool Equal(const FrontierResponse& a, const FrontierResponse& b) {
-  if (a.batch != b.batch || a.hop != b.hop || a.from_shard != b.from_shard ||
-      a.slots != b.slots || a.neighbors.offsets != b.neighbors.offsets ||
-      a.neighbors.entries.size() != b.neighbors.entries.size()) {
-    return false;
-  }
-  for (size_t j = 0; j < a.neighbors.entries.size(); ++j) {
-    const graph::TemporalNeighbor& n = a.neighbors.entries[j];
-    const graph::TemporalNeighbor& m = b.neighbors.entries[j];
-    if (n.node != m.node || n.edge_id != m.edge_id ||
-        !SameBits(n.timestamp, m.timestamp)) {
-      return false;
-    }
-  }
-  return true;
-}
-
-bool Equal(const ShardMessage& a, const ShardMessage& b) {
-  if (a.index() != b.index()) return false;
-  if (const auto* p = std::get_if<ShardPartial>(&a)) {
-    return Equal(*p, std::get<ShardPartial>(b));
-  }
-  if (const auto* r = std::get_if<FrontierRequest>(&a)) {
-    return Equal(*r, std::get<FrontierRequest>(b));
-  }
-  return Equal(std::get<FrontierResponse>(a), std::get<FrontierResponse>(b));
-}
-
 void ExpectRoundTrip(const ShardMessage& message) {
   const std::vector<uint8_t> payload = wire::EncodeMessage(message);
   Result<ShardMessage> decoded = wire::DecodeMessage(payload);
@@ -100,7 +57,7 @@ void ExpectRoundTrip(const ShardMessage& message) {
   EXPECT_TRUE(Equal(message, *decoded));
 }
 
-// ---- Exemplar messages (every alternative, edge values included) -----------
+// ---- Exemplar messages (edge values included) ------------------------------
 
 ShardPartial MakePartial() {
   ShardPartial m;
@@ -122,42 +79,10 @@ ShardPartial MakePartial() {
   return m;
 }
 
-FrontierRequest MakeRequest() {
-  FrontierRequest m;
-  m.batch = 12;
-  m.hop = 2;
-  m.from_shard = 1;
-  // Max-ordinal limit (the "everything appended" sentinel) and max slot
-  // tags must survive unclipped.
-  m.ordinal_limit = std::numeric_limits<int64_t>::max();
-  m.fanout = 10;
-  m.items.push_back({std::numeric_limits<int64_t>::max(), 4, -7.25});
-  m.items.push_back({0, 0, 0.0});
-  return m;
-}
-
-FrontierResponse MakeResponse() {
-  FrontierResponse m;
-  m.batch = 12;
-  m.hop = 2;
-  m.from_shard = 2;
-  m.slots = {std::numeric_limits<int64_t>::max(), 0, 3};
-  m.neighbors.entries = {{5, 17, -1.5}, {6, 18, 2.25}};
-  m.neighbors.EndRow();
-  m.neighbors.EndRow();  // isolated node: empty sample
-  m.neighbors.entries.push_back({7, 19, std::numeric_limits<double>::lowest()});
-  m.neighbors.EndRow();
-  return m;
-}
-
 std::vector<ShardMessage> Exemplars() {
   std::vector<ShardMessage> out;
   out.push_back(MakePartial());
   out.push_back(ShardPartial{});  // all-empty partial (the batch sentinel)
-  out.push_back(MakeRequest());
-  out.push_back(FrontierRequest{});
-  out.push_back(MakeResponse());
-  out.push_back(FrontierResponse{});
   return out;
 }
 
@@ -217,7 +142,7 @@ TEST(WireTest, EveryTruncationFailsCleanly) {
 }
 
 TEST(WireTest, TrailingBytesRejected) {
-  std::vector<uint8_t> payload = wire::EncodeMessage(ShardMessage(MakeRequest()));
+  std::vector<uint8_t> payload = wire::EncodeMessage(MakePartial());
   payload.push_back(0);
   EXPECT_FALSE(wire::DecodeMessage(payload).ok());
 }
@@ -226,12 +151,23 @@ TEST(WireTest, UnknownKindRejected) {
   std::vector<uint8_t> payload = {0xEE};
   EXPECT_FALSE(wire::DecodeMessage(payload).ok());
   EXPECT_FALSE(wire::DecodeMessage({}).ok());
+  // Kinds 2 and 3 are retired, never reassigned: a valid partial body
+  // behind either kind byte must still come back as an unknown kind.
+  for (const uint8_t retired : {uint8_t{2}, uint8_t{3}}) {
+    std::vector<uint8_t> relabeled = wire::EncodeMessage(MakePartial());
+    relabeled[0] = retired;
+    Result<ShardMessage> decoded = wire::DecodeMessage(relabeled);
+    ASSERT_FALSE(decoded.ok()) << "kind " << int{retired};
+    EXPECT_NE(decoded.status().message().find("unknown message kind"),
+              std::string::npos)
+        << decoded.status();
+  }
 }
 
 TEST(WireTest, CorruptCountRejectedBeforeAllocation) {
   // A partial whose row count claims 2^61 entries: the decoder must
   // reject against the bytes remaining, not try to resize.
-  std::vector<uint8_t> payload = wire::EncodeMessage(ShardMessage(ShardPartial{}));
+  std::vector<uint8_t> payload = wire::EncodeMessage(ShardPartial{});
   // Layout: kind(1) + batch(8) + from_shard(4) + rows.node count(8).
   ASSERT_GE(payload.size(), 21u);
   for (size_t i = 13; i < 21; ++i) payload[i] = 0xFF;
@@ -247,7 +183,7 @@ void ExpectRejected(const ShardMessage& message) {
   const std::vector<uint8_t> payload = wire::EncodeMessage(message);
   EXPECT_FALSE(wire::DecodeMessage(payload).ok());
   std::vector<uint8_t> frame;
-  const ShardMessage pair[] = {message, ShardMessage(FrontierRequest{})};
+  const ShardMessage pair[] = {message, ShardPartial{}};
   wire::AppendBatchFrame(pair, &frame);
   EXPECT_FALSE(wire::DecodeMessages(FramePayloadOf(frame)).ok());
 }
@@ -297,36 +233,6 @@ TEST(WireTest, PartialSectionsMustFitRows) {
   all_sums.num_state_updates = 0;
   all_sums.num_hop0 = 0;
   ExpectRoundTrip(all_sums);
-}
-
-TEST(WireTest, NeighborOffsetsMustStartAtZero) {
-  FrontierResponse m = MakeResponse();
-  for (int64_t& offset : m.neighbors.offsets) offset += 1;
-  m.neighbors.entries.push_back({8, 20, 0.5});
-  ExpectRejected(m);
-}
-
-TEST(WireTest, NeighborOffsetsMustNotDecrease) {
-  FrontierResponse m = MakeResponse();
-  ASSERT_EQ(m.neighbors.offsets, (std::vector<int64_t>{0, 2, 2, 3}));
-  m.neighbors.offsets = {0, 3, 2, 3};
-  ExpectRejected(m);
-}
-
-TEST(WireTest, NeighborOffsetsMustEndAtEntryCount) {
-  FrontierResponse m = MakeResponse();
-  m.neighbors.offsets.back() = 2;
-  ExpectRejected(m);
-  FrontierResponse no_offsets = MakeResponse();
-  no_offsets.neighbors.offsets.clear();
-  no_offsets.slots.clear();
-  ExpectRejected(no_offsets);  // entries without any row
-}
-
-TEST(WireTest, NeighborRowsMustMatchSlots) {
-  FrontierResponse m = MakeResponse();
-  m.slots.pop_back();
-  ExpectRejected(m);
 }
 
 TEST(WireTest, FrameLengthValidation) {
