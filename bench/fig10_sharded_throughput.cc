@@ -442,8 +442,8 @@ int main(int argc, char** argv) {
   bench::PrintRule(118);
   std::printf(
       "baseline = the x1 inproc row, the paper's single-worker deployment\n"
-      "(%.0f ev/s). Speedup needs hardware parallelism: on a 1-core box\n"
-      "expect parity, not scaling.\n"
+      "(%.0f ev/s). On the recorded 4-vCPU host the caller's synchronous\n"
+      "link bounds every multi-shard row, so expect parity, not scaling.\n"
       "ev/s no-obs = the same config with stage metrics off; the delta is\n"
       "the observability tax (<2%% contract, docs/observability.md).\n"
       "partition: hash = the stateless ownership hash; locality = greedy\n"

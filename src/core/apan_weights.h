@@ -13,6 +13,7 @@
 #ifndef APAN_CORE_APAN_WEIGHTS_H_
 #define APAN_CORE_APAN_WEIGHTS_H_
 
+#include <span>
 #include <vector>
 
 #include "core/config.h"
@@ -25,7 +26,7 @@
 namespace apan {
 namespace core {
 
-class NodeStateStore;
+struct StateRead;
 
 /// \brief Non-owning const view over one ApanModel's weights. Copyable;
 /// the model must outlive every view.
@@ -44,22 +45,30 @@ class ApanWeights {
   const NodeDecoder& node_decoder() const { return *node_decoder_; }
   const MailPropagator& propagator() const { return *propagator_; }
 
-  /// Encoder pass over `store`'s rows (serve-time: no dropout RNG). The
-  /// store must own every node in `nodes`.
-  ApanEncoder::Output EncodeNodes(const NodeStateStore& store,
-                                  const std::vector<graph::NodeId>& nodes) const;
-
-  /// Encoder pass over state already read out of a store
-  /// (NodeStateStore::GatherLastEmbeddings + ReadBatch, both copies).
-  /// Touches no store, so a caller can read under its state lock and run
-  /// the forward pass after releasing it. Same result as EncodeNodes.
-  ApanEncoder::Output Encode(const tensor::Tensor& last_embeddings,
-                             const Mailbox::ReadResult& mailbox_read) const;
+  /// \brief The serving encode: ApanEncoder::ForwardRaw over a StateRead
+  /// (NodeStateStore::ReadInto), adding the positional encoding in place
+  /// into read->mails. Writes z(t) to `embeddings` ({read->batch, dim}).
+  void EncodeRead(StateRead* read, ApanEncoder::Workspace* ws,
+                  float* embeddings) const;
 
   /// Link-prediction logits per the paper's Eq. 7: scaled dot product
   /// with the learnable affine calibration. \return {batch, 1} logits.
+  /// Under NoGradGuard each row is LinkLogit; with gradients on it builds
+  /// the training graph of the same arithmetic.
   tensor::Tensor ScoreLinkLogits(const tensor::Tensor& z_src,
                                  const tensor::Tensor& z_dst) const;
+
+  /// Eq. 7's logit for one pair of embedding rows (dim floats each): the
+  /// blocked Dot, · 1/√d, · link_scale + link_bias.
+  float LinkLogit(const float* z_src, const float* z_dst) const;
+
+  /// \brief The fused link decoder: P(edge) for event i is
+  /// StableSigmoid(LinkLogit(row src_rows[i], row dst_rows[i])) of the
+  /// {rows, dim} matrix `embeddings`, written to probs[i]. No tensor is
+  /// built; bitwise equal to Sigmoid(ScoreLinkLogits(...)) over gathered
+  /// rows under NoGradGuard.
+  void ScoreLinks(const float* embeddings, std::span<const int64_t> src_rows,
+                  std::span<const int64_t> dst_rows, float* probs) const;
 
  private:
   const ApanConfig* config_;

@@ -40,21 +40,27 @@ const std::vector<int64_t>& PositionIds(int64_t batch, int64_t slots) {
 }
 
 /// Mail ages for the time-kernel positional mode (thread-local reuse).
-std::vector<double>& TimeDeltas(const Mailbox::ReadResult& read,
-                                int64_t batch, int64_t slots) {
+std::vector<double>& TimeDeltas(const int64_t* counts,
+                                const double* timestamps, int64_t batch,
+                                int64_t slots) {
   thread_local std::vector<double> deltas;
   deltas.assign(static_cast<size_t>(batch * slots), 0.0);
   for (int64_t b = 0; b < batch; ++b) {
-    const int64_t c = read.counts[static_cast<size_t>(b)];
+    const int64_t c = counts[b];
     if (c == 0) continue;
-    const double newest =
-        read.timestamps[static_cast<size_t>(b * slots + c - 1)];
+    const double newest = timestamps[b * slots + c - 1];
     for (int64_t p = 0; p < c; ++p) {
       deltas[static_cast<size_t>(b * slots + p)] =
-          newest - read.timestamps[static_cast<size_t>(b * slots + p)];
+          newest - timestamps[b * slots + p];
     }
   }
   return deltas;
+}
+
+/// Grows `v` to at least `n` elements and returns its data.
+float* Reserve(std::vector<float>& v, int64_t n) {
+  if (v.size() < static_cast<size_t>(n)) v.resize(static_cast<size_t>(n));
+  return v.data();
 }
 
 }  // namespace
@@ -125,7 +131,8 @@ ApanEncoder::Output ApanEncoder::Forward(
             static_cast<size_t>(batch * slots_),
         "time-kernel positional mode needs mailbox timestamps");
     pos = time_positional_.Forward(
-        TimeDeltas(mailbox_read, batch, slots_));  // {b*m, d}
+        TimeDeltas(mailbox_read.counts.data(), mailbox_read.timestamps.data(),
+                   batch, slots_));  // {b*m, d}
   }
   Tensor enriched = tensor::Add(flat, pos);
   enriched = tensor::Reshape(enriched, {batch, slots_, dim_});
@@ -153,41 +160,66 @@ ApanEncoder::Output ApanEncoder::Forward(
 ApanEncoder::Output ApanEncoder::ForwardInference(
     const Tensor& last_embeddings,
     const Mailbox::ReadResult& mailbox_read) const {
-  const Tensor& mails = mailbox_read.mails;
   const int64_t batch = last_embeddings.dim(0);
+  APAN_CHECK_MSG(mailbox_read.mask.size() ==
+                         static_cast<size_t>(batch * slots_) &&
+                     mailbox_read.counts.size() == static_cast<size_t>(batch),
+                 "encoder mailbox read-out shape mismatch");
+  APAN_CHECK_MSG(
+      positional_mode_ == PositionalMode::kLearnedPosition ||
+          mailbox_read.timestamps.size() ==
+              static_cast<size_t>(batch * slots_),
+      "time-kernel positional mode needs mailbox timestamps");
+  thread_local Workspace ws;
+  Tensor enriched =
+      tensor::ForwardBuffer({batch, slots_, dim_}, /*zero=*/false);
+  Output result;
+  result.embeddings = tensor::ForwardBuffer({batch, dim_}, /*zero=*/false);
+  result.attention = tensor::ForwardBuffer(
+      {batch, attention_.num_heads(), slots_}, /*zero=*/false);
+  RawInput in;
+  in.batch = batch;
+  in.last = last_embeddings.data();
+  in.mails = mailbox_read.mails.data();
+  in.mask = mailbox_read.mask.data();
+  in.counts = mailbox_read.counts.data();
+  in.timestamps = mailbox_read.timestamps.data();
+  ForwardRaw(in, enriched.data(), &ws, result.embeddings.data(),
+             result.attention.data());
+  return result;
+}
 
+void ApanEncoder::ForwardRaw(const RawInput& in, float* enriched,
+                             Workspace* ws, float* embeddings,
+                             float* attention) const {
+  const int64_t batch = in.batch;
   // Positional enrichment without the flatten/reshape copies: for the
   // learned mode the whole {slots, dim} table is one periodic "bias" over
   // each batch element's {slots * dim} block — no position-id gather at
   // all on the serve path.
-  Tensor enriched =
-      tensor::ForwardBuffer({batch, slots_, dim_}, /*zero=*/false);
   if (positional_mode_ == PositionalMode::kLearnedPosition) {
-    tensor::kernels::AddBias(mails.data(), positional_.table().data(),
-                             enriched.data(), batch, slots_ * dim_);
+    tensor::kernels::AddBias(in.mails, positional_.table().data(), enriched,
+                             batch, slots_ * dim_);
   } else {
-    APAN_CHECK_MSG(
-        mailbox_read.timestamps.size() ==
-            static_cast<size_t>(batch * slots_),
-        "time-kernel positional mode needs mailbox timestamps");
-    Tensor pos = time_positional_.Forward(
-        TimeDeltas(mailbox_read, batch, slots_));  // {b*m, d}
-    tensor::kernels::AddSame(mails.data(), pos.data(), enriched.data(),
+    tensor::NoGradGuard no_grad;
+    const Tensor pos = time_positional_.Forward(
+        TimeDeltas(in.counts, in.timestamps, batch, slots_));  // {b*m, d}
+    tensor::kernels::AddSame(in.mails, pos.data(), enriched,
                              batch * slots_ * dim_);
   }
-
-  // Fused attention (single-kernel masked softmax, strided heads), then
-  // the fused residual+LayerNorm and the fused-ReLU MLP. Dropout is
-  // inference-inert by definition here.
-  nn::AttentionOutput attn = attention_.Forward(
-      last_embeddings, enriched, enriched, &mailbox_read.mask);
-  Tensor normed = layer_norm_.ForwardResidual(attn.output, last_embeddings);
-  Tensor out = mlp_.Forward(normed);
-
-  Output result;
-  result.embeddings = out;
-  result.attention = attn.weights;
-  return result;
+  if (attention == nullptr) {
+    attention = Reserve(ws->weights, batch * attention_.num_heads() * slots_);
+  }
+  float* attended = Reserve(ws->attended, batch * dim_);
+  float* normed = Reserve(ws->normed, batch * dim_);
+  float* hidden = Reserve(ws->hidden, batch * mlp_.hidden_features());
+  // The single-query attention, then the paper's block
+  // z(t) = MLP(LayerNorm(MHA + z(t−))) with the shortcut fused into the
+  // LayerNorm pass.
+  attention_.ForwardRaw(in.last, enriched, enriched, in.mask, batch, slots_,
+                        &ws->attention, attention, attended);
+  layer_norm_.ForwardResidualRaw(attended, in.last, normed, batch);
+  mlp_.ForwardRaw(normed, batch, hidden, embeddings);
 }
 
 }  // namespace core

@@ -46,6 +46,40 @@ class ApanEncoder : public nn::Module {
                  const Mailbox::ReadResult& mailbox_read,
                  Rng* dropout_rng = nullptr) const;
 
+  /// One batch of encoder input as raw rows: what
+  /// NodeStateStore::ReadInto or GatherLastEmbeddings + ReadBatch read.
+  struct RawInput {
+    int64_t batch = 0;
+    const float* last = nullptr;         ///< {batch, dim}: z(t−)
+    const float* mails = nullptr;        ///< {batch, slots, dim}
+    const float* mask = nullptr;         ///< {batch, slots}
+    const int64_t* counts = nullptr;     ///< {batch}
+    const double* timestamps = nullptr;  ///< {batch, slots}
+  };
+
+  /// Reused intermediates of ForwardRaw; grown on first use, never shrunk.
+  struct Workspace {
+    nn::MultiHeadAttention::Workspace attention;
+    std::vector<float> weights;   ///< {batch, heads, slots}
+    std::vector<float> attended;  ///< {batch, dim}
+    std::vector<float> normed;    ///< {batch, dim}
+    std::vector<float> hidden;    ///< {batch, mlp hidden}
+  };
+
+  /// \brief The inference forward on raw buffers — the one implementation
+  /// behind Forward under NoGradGuard (and so EncodeNodes) and the serving
+  /// engine's encode: positional enrichment, absorbed attention, fused
+  /// residual + LayerNorm, fused-ReLU MLP, through the dispatched kernels.
+  /// The positional encoding lands in `enriched` ({batch, slots, dim}),
+  /// which may alias `in.mails` — the engine adds it in place into its
+  /// gathered rows. Writes z(t) to `embeddings` ({batch, dim}) and the
+  /// attention weights to `attention` ({batch, heads, slots}; null keeps
+  /// them in the workspace). The time-kernel positional mode evaluates
+  /// Φ(Δt) through the TimeEncoding module (arena tensors under an
+  /// ArenaScope). Dropout is inference-inert.
+  void ForwardRaw(const RawInput& in, float* enriched, Workspace* ws,
+                  float* embeddings, float* attention) const;
+
   /// \brief Full encoder pass for `nodes` against a caller-supplied state
   /// store: reads the store's mailbox rows + last embeddings, then
   /// Forward. The store must own every node; no graph queries. This is
@@ -65,10 +99,8 @@ class ApanEncoder : public nn::Module {
   static int64_t position_ids_rebuilds();
 
  private:
-  /// Kernel-fused forward for inference mode: positional enrichment,
-  /// attention, residual+LayerNorm and the MLP all run through the
-  /// dispatched kernels with arena-allocated intermediates, skipping the
-  /// Reshape copies and the per-call position-id rebuild.
+  /// Inference mode (NoGradGuard active): ForwardRaw with the enriched
+  /// mails and both outputs in arena tensors.
   Output ForwardInference(const tensor::Tensor& last_embeddings,
                           const Mailbox::ReadResult& mailbox_read) const;
 

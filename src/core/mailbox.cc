@@ -116,41 +116,43 @@ Mailbox::ReadResult Mailbox::ReadBatch(
   APAN_TRACE_SPAN("mailbox_read");
   const int64_t batch = static_cast<int64_t>(nodes.size());
   ReadResult result;
-  std::vector<float> out(static_cast<size_t>(batch * slots_ * dim_), 0.0f);
-  result.mask.assign(static_cast<size_t>(batch * slots_), 0.0f);
+  std::vector<float> out(static_cast<size_t>(batch * slots_ * dim_));
+  result.mask.resize(static_cast<size_t>(batch * slots_));
   result.counts.resize(static_cast<size_t>(batch));
-  result.timestamps.assign(static_cast<size_t>(batch * slots_), 0.0);
-
+  result.timestamps.resize(static_cast<size_t>(batch * slots_));
   for (int64_t b = 0; b < batch; ++b) {
-    const graph::NodeId node = nodes[static_cast<size_t>(b)];
-    APAN_CHECK_MSG(node >= 0 && node < num_nodes_,
-                   "mailbox node out of range");
-    const auto n = static_cast<size_t>(node);
-    const int32_t c = count_[n];
-    result.counts[static_cast<size_t>(b)] = c;
-
-    // Valid slots in (timestamp, arrival) order — maintained at delivery
-    // time, so the out-of-order tolerance costs nothing here.
-    const int32_t* order = order_.data() + n * static_cast<size_t>(slots_);
-    for (int32_t pos = 0; pos < c; ++pos) {
-      std::copy_n(data_.data() + SlotOffset(node, order[pos]), dim_,
-                  out.data() + (b * slots_ + pos) * dim_);
-      result.timestamps[static_cast<size_t>(b * slots_ + pos)] =
-          timestamps_[n * static_cast<size_t>(slots_) +
-                      static_cast<size_t>(order[pos])];
-    }
-    // Mask padding slots — except for fully-empty mailboxes, which keep an
-    // all-valid mask so softmax stays a well-conditioned uniform.
-    if (c > 0) {
-      for (int64_t pos = c; pos < slots_; ++pos) {
-        result.mask[static_cast<size_t>(b * slots_ + pos)] =
-            nn::MultiHeadAttention::kMaskedOut;
-      }
-    }
+    result.counts[static_cast<size_t>(b)] =
+        ReadRow(nodes[static_cast<size_t>(b)], out.data() + b * slots_ * dim_,
+                result.mask.data() + b * slots_,
+                result.timestamps.data() + b * slots_);
   }
   result.mails =
       tensor::Tensor::FromVector({batch, slots_, dim_}, std::move(out));
   return result;
+}
+
+int64_t Mailbox::ReadRow(graph::NodeId node, float* mails, float* mask,
+                         double* timestamps) const {
+  APAN_CHECK_MSG(node >= 0 && node < num_nodes_, "mailbox node out of range");
+  const auto n = static_cast<size_t>(node);
+  const int32_t c = count_[n];
+  // Valid slots in (timestamp, arrival) order — maintained at delivery
+  // time, so the out-of-order tolerance costs nothing here.
+  const int32_t* order = order_.data() + n * static_cast<size_t>(slots_);
+  for (int32_t pos = 0; pos < c; ++pos) {
+    std::copy_n(data_.data() + SlotOffset(node, order[pos]), dim_,
+                mails + pos * dim_);
+    timestamps[pos] = timestamps_[n * static_cast<size_t>(slots_) +
+                                  static_cast<size_t>(order[pos])];
+    mask[pos] = 0.0f;
+  }
+  std::fill(mails + c * dim_, mails + slots_ * dim_, 0.0f);
+  std::fill(timestamps + c, timestamps + slots_, 0.0);
+  // Mask padding slots — except for fully-empty mailboxes, which keep an
+  // all-valid mask so softmax stays a well-conditioned uniform.
+  std::fill(mask + c, mask + slots_,
+            c > 0 ? nn::MultiHeadAttention::kMaskedOut : 0.0f);
+  return c;
 }
 
 Status Mailbox::RestoreRaw(std::span<const float> data,

@@ -89,6 +89,14 @@ class Mailbox {
   };
   ReadResult ReadBatch(const std::vector<graph::NodeId>& nodes) const;
 
+  /// \brief One node's time-sorted read-out into caller-owned rows — the
+  /// one implementation behind every read: `mails` (slots × dim),
+  /// `mask` and `timestamps` (slots each) as in ReadResult. Valid slots
+  /// are copied and only the padding slots are zeroed, so a reused
+  /// buffer needs no clearing. Allocation-free. \return the valid count.
+  int64_t ReadRow(graph::NodeId node, float* mails, float* mask,
+                  double* timestamps) const;
+
   /// Drops all mail (used between training epochs).
   void Clear();
 

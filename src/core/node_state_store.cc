@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <utility>
 
+#include "obs/trace.h"
+
 namespace apan {
 namespace core {
 
@@ -55,13 +57,18 @@ int64_t NodeStateStore::LocalRow(graph::NodeId node) const {
 tensor::Tensor NodeStateStore::GatherLastEmbeddings(
     const std::vector<graph::NodeId>& nodes) const {
   std::vector<float> out(nodes.size() * static_cast<size_t>(dim_));
+  CopyLastEmbeddings(nodes, out.data());
+  return tensor::Tensor::FromVector({static_cast<int64_t>(nodes.size()), dim_},
+                                    std::move(out));
+}
+
+void NodeStateStore::CopyLastEmbeddings(std::span<const graph::NodeId> nodes,
+                                        float* last) const {
   for (size_t i = 0; i < nodes.size(); ++i) {
     const int64_t row = LocalRow(nodes[i]);
     std::copy_n(state_.data() + static_cast<size_t>(row * dim_), dim_,
-                out.data() + i * static_cast<size_t>(dim_));
+                last + i * static_cast<size_t>(dim_));
   }
-  return tensor::Tensor::FromVector({static_cast<int64_t>(nodes.size()), dim_},
-                                    std::move(out));
 }
 
 void NodeStateStore::UpdateLastEmbeddings(
@@ -96,11 +103,50 @@ void NodeStateStore::SetLastEmbedding(graph::NodeId node,
 
 Mailbox::ReadResult NodeStateStore::ReadBatch(
     const std::vector<graph::NodeId>& nodes) const {
-  if (dense_all_) return mailbox_.ReadBatch(nodes);
-  std::vector<graph::NodeId> rows;
-  rows.reserve(nodes.size());
-  for (const graph::NodeId v : nodes) rows.push_back(LocalRow(v));
-  return mailbox_.ReadBatch(rows);
+  APAN_TRACE_SPAN("mailbox_read");
+  const auto batch = static_cast<int64_t>(nodes.size());
+  const int64_t slots = mailbox_.slots();
+  Mailbox::ReadResult result;
+  std::vector<float> mails(static_cast<size_t>(batch * slots * dim_));
+  result.mask.resize(static_cast<size_t>(batch * slots));
+  result.counts.resize(static_cast<size_t>(batch));
+  result.timestamps.resize(static_cast<size_t>(batch * slots));
+  ReadMail(nodes, mails.data(), result.mask.data(), result.counts.data(),
+           result.timestamps.data());
+  result.mails = tensor::Tensor::FromVector({batch, slots, dim_},
+                                            std::move(mails));
+  return result;
+}
+
+void NodeStateStore::ReadInto(std::span<const graph::NodeId> nodes,
+                              StateRead* out) const {
+  APAN_TRACE_SPAN("mailbox_read");
+  const auto batch = static_cast<int64_t>(nodes.size());
+  const auto slots = static_cast<size_t>(mailbox_.slots());
+  const auto grow = [](auto& v, size_t n) {
+    if (v.size() < n) v.resize(n);
+  };
+  const auto rows = static_cast<size_t>(batch);
+  grow(out->last, rows * static_cast<size_t>(dim_));
+  grow(out->mails, rows * slots * static_cast<size_t>(dim_));
+  grow(out->mask, rows * slots);
+  grow(out->counts, rows);
+  grow(out->timestamps, rows * slots);
+  out->batch = batch;
+  CopyLastEmbeddings(nodes, out->last.data());
+  ReadMail(nodes, out->mails.data(), out->mask.data(), out->counts.data(),
+           out->timestamps.data());
+}
+
+void NodeStateStore::ReadMail(std::span<const graph::NodeId> nodes,
+                              float* mails, float* mask, int64_t* counts,
+                              double* timestamps) const {
+  const int64_t slots = mailbox_.slots();
+  for (size_t b = 0; b < nodes.size(); ++b) {
+    const auto off = static_cast<int64_t>(b) * slots;
+    counts[b] = mailbox_.ReadRow(LocalRow(nodes[b]), mails + off * dim_,
+                                 mask + off, timestamps + off);
+  }
 }
 
 void NodeStateStore::DeliverMail(graph::NodeId node,

@@ -33,6 +33,20 @@
 namespace apan {
 namespace core {
 
+/// \brief Caller-owned buffers one batch read fills
+/// (NodeStateStore::ReadInto): the encoder's whole input for `batch`
+/// nodes, as ApanEncoder::ForwardRaw reads it. ReadInto only grows the
+/// vectors, so a set reused by one thread stops allocating at its largest
+/// batch; entries past `batch` rows are stale and never read.
+struct StateRead {
+  int64_t batch = 0;
+  std::vector<float> last;         ///< {batch, dim}: z(t−) rows.
+  std::vector<float> mails;        ///< {batch, slots, dim} (Mailbox::ReadRow).
+  std::vector<float> mask;         ///< {batch, slots}
+  std::vector<int64_t> counts;     ///< {batch}
+  std::vector<double> timestamps;  ///< {batch, slots}
+};
+
 /// \brief Mutable per-node state (mailbox slice + z(t−) rows) for a node
 /// subset, addressed by global node id.
 class NodeStateStore {
@@ -92,6 +106,12 @@ class NodeStateStore {
   /// Batched, time-sorted mailbox read-out for the encoder (global ids).
   Mailbox::ReadResult ReadBatch(const std::vector<graph::NodeId>& nodes) const;
 
+  /// \brief GatherLastEmbeddings + ReadBatch into caller-owned buffers:
+  /// the synchronous link's state read. Allocation-free once `out` has
+  /// seen its largest batch. CHECK-fails on a node outside this store's
+  /// ownership.
+  void ReadInto(std::span<const graph::NodeId> nodes, StateRead* out) const;
+
   /// \brief Stores one mail for `node` (which this store must own),
   /// evicting its oldest mail when the ring is full. Allocation-free.
   void DeliverMail(graph::NodeId node, std::span<const float> mail,
@@ -142,6 +162,14 @@ class NodeStateStore {
  private:
   /// Dense row of `node`; CHECK-fails when the store does not own it.
   int64_t LocalRow(graph::NodeId node) const;
+
+  /// The raw halves of every read: `nodes`' z(t−) rows into `last`
+  /// ({n, dim}); their mailboxes into `mails` / `mask` / `counts` /
+  /// `timestamps` (Mailbox::ReadResult's layout).
+  void CopyLastEmbeddings(std::span<const graph::NodeId> nodes,
+                          float* last) const;
+  void ReadMail(std::span<const graph::NodeId> nodes, float* mails,
+                float* mask, int64_t* counts, double* timestamps) const;
 
   int64_t num_nodes_;
   int64_t dim_;

@@ -107,55 +107,57 @@ AttentionOutput MultiHeadAttention::ForwardInference(
     const std::vector<float>* mask) const {
   const int64_t batch = query.dim(0);
   const int64_t num_keys = keys.dim(1);
-  const int64_t dq = query.dim(1);
-  const int64_t dk = keys.dim(2);
-  const int64_t dv = values.dim(2);
   // The generic path gets these checks from Linear::Forward; the raw
-  // kernels below index the weight buffers directly, so a mismatch here
-  // must abort instead of reading out of bounds.
-  APAN_CHECK_MSG(dq == wq_.in_features() && dk == wk_.in_features() &&
-                     dv == wv_.in_features(),
+  // kernels index the weight buffers directly, so a mismatch here must
+  // abort instead of reading out of bounds.
+  APAN_CHECK_MSG(query.dim(1) == wq_.in_features() &&
+                     keys.dim(2) == wk_.in_features() &&
+                     values.dim(2) == wv_.in_features(),
                  "attention input feature dimension mismatch");
+  thread_local Workspace ws;
+  AttentionOutput result;
+  result.weights = tensor::ForwardBuffer({batch, num_heads_, num_keys},
+                                         /*zero=*/false);
+  result.output = tensor::ForwardBuffer({batch, model_dim_}, /*zero=*/false);
+  ForwardRaw(query.data(), keys.data(), values.data(),
+             mask != nullptr ? mask->data() : nullptr, batch, num_keys, &ws,
+             result.weights.data(), result.output.data());
+  return result;
+}
+
+void MultiHeadAttention::ForwardRaw(const float* query, const float* keys,
+                                    const float* values, const float* mask,
+                                    int64_t batch, int64_t num_keys,
+                                    Workspace* ws, float* attn,
+                                    float* out) const {
   // The raw GEMMs below apply no bias; if the projections ever grow one,
   // serving must not silently diverge from the training graph.
   APAN_CHECK_MSG(!wq_.has_bias() && !wk_.has_bias() && !wv_.has_bias() &&
                      !wo_.has_bias(),
                  "fused attention path assumes bias-free projections");
+  const int64_t dq = wq_.in_features();
+  const int64_t dk = wk_.in_features();
+  const int64_t dv = wv_.in_features();
+  const auto rows = static_cast<size_t>(batch * model_dim_);
+  if (ws->q.size() < rows) ws->q.resize(rows);
+  if (ws->context.size() < rows) ws->context.resize(rows);
+  const auto scratch = static_cast<size_t>(num_heads_ * std::max(dk, dv));
+  if (ws->scratch.size() < scratch) ws->scratch.resize(scratch);
 
-  // Absorbed single-query attention: the query is folded through W_k and
-  // the attention-weighted raw values through W_v, so no key or value row
-  // is ever projected — (2m+2)d^2 + 2md multiply-adds per row become
-  // 4d^2 + 2hmd. Every intermediate is an arena buffer; `scratch` holds
-  // one row's folded queries / mixed values at a time.
-  Tensor q = tensor::ForwardBuffer({batch, model_dim_}, /*zero=*/false);
-  kernels::MatMul(query.data(), wq_.weight().data(), q.data(), batch, dq,
+  // (2m+2)d^2 + 2md multiply-adds per row become 4d^2 + 2hmd; `scratch`
+  // holds one row's folded queries / mixed values at a time.
+  kernels::MatMul(query, wq_.weight().data(), ws->q.data(), batch, dq,
                   model_dim_);
-  Tensor scratch = tensor::ForwardBuffer({num_heads_ * std::max(dk, dv)},
-                                         /*zero=*/false);
-  // The softmax folds the per-(batch, key) mask in without expanding it
-  // across heads.
-  Tensor attn = tensor::ForwardBuffer({batch, num_heads_, num_keys},
-                                      /*zero=*/false);
-  kernels::AttentionScores(
-      q.data(), wk_.weight().data(), keys.data(), scratch.data(), attn.data(),
-      batch, num_heads_, num_keys, dk, head_dim_,
-      1.0f / std::sqrt(static_cast<float>(head_dim_)));
-  kernels::MaskedSoftmax(attn.data(),
-                         mask != nullptr ? mask->data() : nullptr,
-                         attn.data(), batch, num_heads_, num_keys);
-
-  Tensor context = tensor::ForwardBuffer({batch, model_dim_}, /*zero=*/false);
-  kernels::AttentionContext(attn.data(), values.data(), wv_.weight().data(),
-                            scratch.data(), context.data(), batch, num_heads_,
-                            num_keys, dv, head_dim_);
-  Tensor out = tensor::ForwardBuffer({batch, model_dim_}, /*zero=*/false);
-  kernels::MatMul(context.data(), wo_.weight().data(), out.data(), batch,
+  kernels::AttentionScores(ws->q.data(), wk_.weight().data(), keys,
+                           ws->scratch.data(), attn, batch, num_heads_,
+                           num_keys, dk, head_dim_,
+                           1.0f / std::sqrt(static_cast<float>(head_dim_)));
+  kernels::MaskedSoftmax(attn, mask, attn, batch, num_heads_, num_keys);
+  kernels::AttentionContext(attn, values, wv_.weight().data(),
+                            ws->scratch.data(), ws->context.data(), batch,
+                            num_heads_, num_keys, dv, head_dim_);
+  kernels::MatMul(ws->context.data(), wo_.weight().data(), out, batch,
                   model_dim_, model_dim_);
-
-  AttentionOutput result;
-  result.output = out;
-  result.weights = attn;  // already {batch, heads, num_keys}, no grad
-  return result;
 }
 
 }  // namespace nn

@@ -49,6 +49,29 @@ class MultiHeadAttention : public Module {
                           const tensor::Tensor& values,
                           const std::vector<float>* mask = nullptr) const;
 
+  /// Reused intermediates of ForwardRaw; grown on first use, never shrunk.
+  struct Workspace {
+    std::vector<float> q;        ///< {batch, model_dim} projected query
+    std::vector<float> scratch;  ///< one row's folded queries / mixed values
+    std::vector<float> context;  ///< {batch, model_dim}
+  };
+
+  /// \brief The inference forward on raw buffers: what Forward runs under
+  /// NoGradGuard (there wrapped in arena tensors), callable directly so a
+  /// serving loop runs it over reused buffers. Absorbed form — the query
+  /// is folded through W_k (AttentionScores) and the attention-weighted
+  /// raw values are projected through W_v once per head
+  /// (AttentionContext), so no key or value row is projected; the softmax
+  /// folds the per-(batch, key) mask in without expanding it across
+  /// heads. query {batch, query_dim}, keys {batch, num_keys, key_dim},
+  /// values {batch, num_keys, value_dim} (the constructor's widths), mask
+  /// {batch, num_keys} or null. Writes the attention weights {batch,
+  /// heads, num_keys} to `attn` and the output {batch, model_dim} to
+  /// `out`.
+  void ForwardRaw(const float* query, const float* keys, const float* values,
+                  const float* mask, int64_t batch, int64_t num_keys,
+                  Workspace* ws, float* attn, float* out) const;
+
   int64_t model_dim() const { return model_dim_; }
   int64_t num_heads() const { return num_heads_; }
 
@@ -56,13 +79,8 @@ class MultiHeadAttention : public Module {
   static constexpr float kMaskedOut = -1e9f;
 
  private:
-  /// Kernel-fused forward for inference mode (NoGradGuard active): no
-  /// autograd graph, no head-split materializations, no
-  /// batch*heads*num_keys mask expansion. Absorbed form — the query is
-  /// folded through W_k (AttentionScores) and the attention-weighted raw
-  /// values are projected through W_v once per head (AttentionContext), so
-  /// no key or value row is projected. All intermediates come from the
-  /// active TensorArena.
+  /// Inference mode (NoGradGuard active): ForwardRaw with the outputs in
+  /// arena tensors — no autograd graph, no head-split materializations.
   AttentionOutput ForwardInference(const tensor::Tensor& query,
                                    const tensor::Tensor& keys,
                                    const tensor::Tensor& values,

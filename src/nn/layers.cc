@@ -45,6 +45,21 @@ Tensor Linear::Forward(const Tensor& x, bool fuse_relu) const {
   return out;
 }
 
+void Linear::ForwardRaw(const float* x, int64_t rows, float* y,
+                        bool fuse_relu) const {
+  tensor::kernels::MatMul(x, weight_.data(), y, rows, in_features_,
+                          out_features_);
+  if (!bias_.defined()) {
+    APAN_CHECK_MSG(!fuse_relu, "Linear::ForwardRaw fuse_relu needs a bias");
+    return;
+  }
+  if (fuse_relu) {
+    tensor::kernels::AddBiasRelu(y, bias_.data(), y, rows, out_features_);
+  } else {
+    tensor::kernels::AddBias(y, bias_.data(), y, rows, out_features_);
+  }
+}
+
 Mlp::Mlp(int64_t in_features, int64_t hidden, int64_t out_features, Rng* rng,
          float dropout)
     : fc1_(in_features, hidden, rng),
@@ -60,6 +75,12 @@ Tensor Mlp::Forward(const Tensor& x, Rng* rng) const {
     h = tensor::Dropout(h, dropout_, /*training=*/true, rng);
   }
   return fc2_.Forward(h);
+}
+
+void Mlp::ForwardRaw(const float* x, int64_t rows, float* hidden,
+                     float* y) const {
+  fc1_.ForwardRaw(x, rows, hidden, /*fuse_relu=*/true);
+  fc2_.ForwardRaw(hidden, rows, y);
 }
 
 LayerNorm::LayerNorm(int64_t dim, float eps) : dim_(dim), eps_(eps) {
@@ -86,12 +107,15 @@ Tensor LayerNorm::ForwardResidual(const Tensor& x,
   if (tensor::NoGradGuard::GradEnabled()) {
     return Forward(tensor::Add(x, residual));
   }
-  const int64_t rows = x.numel() / dim_;
   Tensor out = tensor::ForwardBuffer(x.shape(), /*zero=*/false);
-  tensor::kernels::ResidualLayerNorm(x.data(), residual.data(), gain_.data(),
-                                     bias_.data(), out.data(), rows, dim_,
-                                     eps_);
+  ForwardResidualRaw(x.data(), residual.data(), out.data(), x.numel() / dim_);
   return out;
+}
+
+void LayerNorm::ForwardResidualRaw(const float* x, const float* residual,
+                                   float* y, int64_t rows) const {
+  tensor::kernels::ResidualLayerNorm(x, residual, gain_.data(), bias_.data(),
+                                     y, rows, dim_, eps_);
 }
 
 EmbeddingTable::EmbeddingTable(int64_t num_embeddings, int64_t dim, Rng* rng,

@@ -29,6 +29,12 @@ class Linear : public Module {
   tensor::Tensor Forward(const tensor::Tensor& x,
                          bool fuse_relu = false) const;
 
+  /// Forward's inference arithmetic on raw rows: y ({rows, out}) = x
+  /// ({rows, in}) W + b through the same kernels, bitwise equal to
+  /// Forward under NoGradGuard. fuse_relu requires a bias.
+  void ForwardRaw(const float* x, int64_t rows, float* y,
+                  bool fuse_relu = false) const;
+
   int64_t in_features() const { return in_features_; }
   int64_t out_features() const { return out_features_; }
   bool has_bias() const { return bias_.defined(); }
@@ -49,6 +55,14 @@ class Mlp : public Module {
       float dropout = 0.0f);
 
   tensor::Tensor Forward(const tensor::Tensor& x, Rng* rng = nullptr) const;
+
+  /// Inference forward on raw rows, bitwise equal to Forward under
+  /// NoGradGuard: `hidden` ({rows, hidden_features()}) is scratch, `y`
+  /// ({rows, out}) the output.
+  void ForwardRaw(const float* x, int64_t rows, float* hidden,
+                  float* y) const;
+
+  int64_t hidden_features() const { return fc1_.out_features(); }
 
  private:
   Linear fc1_;
@@ -71,6 +85,10 @@ class LayerNorm : public Module {
   /// same graph the encoder built before the fusion).
   tensor::Tensor ForwardResidual(const tensor::Tensor& x,
                                  const tensor::Tensor& residual) const;
+
+  /// ForwardResidual's inference kernel on raw {rows, dim} buffers.
+  void ForwardResidualRaw(const float* x, const float* residual, float* y,
+                          int64_t rows) const;
 
   int64_t dim() const { return dim_; }
 

@@ -7,11 +7,9 @@
 #include <set>
 #include <span>
 #include <tuple>
-#include <unordered_map>
 #include <utility>
 
 #include "tensor/arena.h"
-#include "tensor/ops.h"
 
 namespace apan {
 namespace serve {
@@ -178,83 +176,91 @@ Result<ShardedEngine::InferenceResult> ShardedEngine::InferBatch(
   InferenceResult result;
   Stopwatch watch;
   const int num_shards = options_.num_shards;
-  const int64_t d = model_->config().embedding_dim;
-  // Per home shard: its records in one flat block (events, batch
-  // positions, z rows), handed to the shard's job below.
-  std::vector<core::RecordRows> home_blocks(static_cast<size_t>(num_shards));
+  const auto d = static_cast<size_t>(model_->config().embedding_dim);
+  SyncScratch& sync = sync_;
+  if (sync.jobs.empty()) sync.jobs.resize(static_cast<size_t>(num_shards));
   {
     // ---- Synchronous link: shard-parallel encoding over local state. ----
+    // Every buffer below is reused from the previous batch: once warm,
+    // the caller allocates only the result's scores, the pool handoffs
+    // and the records that move to the workers.
     APAN_TRACE_SPAN("sync");
-    tensor::NoGradGuard no_grad;
-    // Caller-thread arena for the decode leg below (gathers, link
-    // scoring); each encode task opens its own pool-thread scope. Arena
-    // tensors never cross threads — tasks copy rows into `emb`.
-    tensor::ArenaScope arena_scope;
 
     // Deduplicate nodes: each node's embedding is generated once per batch
-    // (paper §3.2), then split the unique set by owner shard.
-    std::vector<graph::NodeId> unique_nodes;
-    std::unordered_map<graph::NodeId, size_t> index_of;
-    auto intern = [&](graph::NodeId v) {
-      auto [it, inserted] = index_of.try_emplace(v, unique_nodes.size());
-      if (inserted) unique_nodes.push_back(v);
-      return it->second;
+    // (paper §3.2). src/dst rows hold first-appearance numbers until the
+    // unique set is split by owner shard below.
+    sync.index.Clear();
+    sync.unique_nodes.clear();
+    sync.src_rows.resize(events.size());
+    sync.dst_rows.resize(events.size());
+    const auto intern = [&sync](graph::NodeId v) {
+      const auto [u, inserted] = sync.index.Insert(
+          v, static_cast<uint32_t>(sync.unique_nodes.size()));
+      if (inserted) sync.unique_nodes.push_back(v);
+      return static_cast<int64_t>(u);
     };
-    std::vector<int64_t> src_rows, dst_rows;
-    src_rows.reserve(events.size());
-    dst_rows.reserve(events.size());
-    for (const auto& e : events) {
-      src_rows.push_back(static_cast<int64_t>(intern(e.src)));
-      dst_rows.push_back(static_cast<int64_t>(intern(e.dst)));
+    for (size_t i = 0; i < events.size(); ++i) {
+      sync.src_rows[i] = intern(events[i].src);
+      sync.dst_rows[i] = intern(events[i].dst);
     }
 
-    // Split the unique set by owner shard, remembering each row's index
-    // in the first-appearance order so tasks can scatter results.
-    std::vector<std::vector<graph::NodeId>> shard_nodes(
-        static_cast<size_t>(num_shards));
-    std::vector<std::vector<size_t>> shard_unique(
-        static_cast<size_t>(num_shards));
-    for (size_t u = 0; u < unique_nodes.size(); ++u) {
-      const int s = partition_->ShardOf(unique_nodes[u]);
-      shard_nodes[static_cast<size_t>(s)].push_back(unique_nodes[u]);
-      shard_unique[static_cast<size_t>(s)].push_back(u);
+    // Split the unique set by owner shard. Each shard's rows sit
+    // contiguously in `embeddings`, in shard order, so its encode writes
+    // one block and nothing is scattered afterwards.
+    const size_t unique = sync.unique_nodes.size();
+    for (auto& shard : shards_) shard->encode.nodes.clear();
+    sync.row_of.resize(unique);
+    for (size_t u = 0; u < unique; ++u) {
+      const graph::NodeId v = sync.unique_nodes[u];
+      auto& nodes =
+          shards_[static_cast<size_t>(partition_->ShardOf(v))]->encode.nodes;
+      sync.row_of[u] = static_cast<uint32_t>(nodes.size());
+      nodes.push_back(v);
+    }
+    sync.active.clear();
+    size_t first_row = 0;
+    for (int s = 0; s < num_shards; ++s) {
+      EncodeScratch& scratch = shards_[static_cast<size_t>(s)]->encode;
+      scratch.first_row = first_row;
+      first_row += scratch.nodes.size();
+      if (!scratch.nodes.empty()) sync.active.push_back(s);
+    }
+    for (size_t u = 0; u < unique; ++u) {
+      const int s = partition_->ShardOf(sync.unique_nodes[u]);
+      sync.row_of[u] += static_cast<uint32_t>(
+          shards_[static_cast<size_t>(s)]->encode.first_row);
+    }
+    for (size_t i = 0; i < events.size(); ++i) {
+      sync.src_rows[i] = sync.row_of[static_cast<size_t>(sync.src_rows[i])];
+      sync.dst_rows[i] = sync.row_of[static_cast<size_t>(sync.dst_rows[i])];
+    }
+    if (sync.embeddings.size() < unique * d) {
+      sync.embeddings.resize(unique * d);
     }
 
     // Encode each shard's slice concurrently against that shard's own
     // state store — replicated weights over partitioned state, so the
-    // only cache lines an encode touches are the shard's private rows.
-    // Each task copies its rows straight into the shared flat matrix
-    // (disjoint offsets) and drops its tensors before returning: encode
-    // intermediates live and die on the pool thread that owns the arena.
-    std::vector<float> emb(unique_nodes.size() * static_cast<size_t>(d));
-    const auto encode_shard = [this, d, &shard_nodes, &shard_unique,
-                               &emb](int s) {
+    // only cache lines an encode touches are the shard's private rows and
+    // its own block of `embeddings`.
+    float* const embeddings = sync.embeddings.data();
+    const auto encode_shard = [this, d, embeddings](int s) {
+      // The time-kernel positional mode evaluates Φ(Δt) as a tensor: no
+      // autograd, and an arena per pool thread.
       tensor::NoGradGuard task_no_grad;
-      // Pool threads open their own per-batch arena; on the caller thread
-      // this nests the already-open batch arena, which is a no-op.
       tensor::ArenaScope task_arena;
       APAN_TRACE_SPAN("encode");
       Stopwatch encode_watch;
-      const auto& nodes = shard_nodes[static_cast<size_t>(s)];
-      const auto& unique_rows = shard_unique[static_cast<size_t>(s)];
-      // Only the reads hold the state lock: both return copies, so the
-      // forward pass runs unlocked and a worker's merge into this shard's
-      // store waits for the gather alone, not for the attention.
-      tensor::Tensor last;
-      core::Mailbox::ReadResult read;
+      Shard& shard = *shards_[static_cast<size_t>(s)];
+      EncodeScratch& scratch = shard.encode;
+      // Only the read holds the state lock: it copies into the scratch,
+      // so the forward pass runs unlocked and a worker's merge into this
+      // shard's store waits for the gather alone, not for the attention.
       {
-        Shard& shard = *shards_[static_cast<size_t>(s)];
         util::MutexLock state_lock(shard.state_mu);
-        last = shard.store->GatherLastEmbeddings(nodes);
-        read = shard.store->ReadBatch(nodes);
+        shard.store->ReadInto(scratch.nodes, &scratch.read);
       }
-      const core::ApanEncoder::Output out =
-          model_->weights().Encode(last, read);
-      const float* rows = out.embeddings.data();
-      for (size_t r = 0; r < nodes.size(); ++r) {
-        std::copy_n(rows + static_cast<int64_t>(r) * d, d,
-                    emb.data() + unique_rows[r] * static_cast<size_t>(d));
-      }
+      model_->weights().EncodeRead(&scratch.read, &scratch.forward,
+                                   embeddings + scratch.first_row * d);
       if (stage_metrics_) {
         ins_.stage_encode->Record(s, encode_watch.ElapsedMillis());
       }
@@ -263,48 +269,40 @@ Result<ShardedEngine::InferenceResult> ShardedEngine::InferBatch(
     // them all and blocking: at 1 shard the synchronous path pays zero
     // pool handoffs (a handoff per batch was a 10x p99 wakeup tail), and
     // at N shards the caller overlaps its slice with the pool's N-1.
-    std::vector<int> active_shards;
-    for (int s = 0; s < num_shards; ++s) {
-      if (!shard_nodes[static_cast<size_t>(s)].empty()) {
-        active_shards.push_back(s);
-      }
-    }
-    std::vector<std::future<void>> futures;
-    for (size_t i = 0; i + 1 < active_shards.size(); ++i) {
-      const int s = active_shards[i];
-      futures.push_back(encode_pool_.Submit([&encode_shard, s] {
+    sync.encodes.clear();
+    for (size_t i = 0; i + 1 < sync.active.size(); ++i) {
+      const int s = sync.active[i];
+      sync.encodes.push_back(encode_pool_.Submit([&encode_shard, s] {
         encode_shard(s);
       }));
     }
-    if (!active_shards.empty()) encode_shard(active_shards.back());
-    for (auto& f : futures) f.get();
+    if (!sync.active.empty()) encode_shard(sync.active.back());
+    for (auto& f : sync.encodes) f.get();
 
-    tensor::Tensor embeddings = tensor::Tensor::FromVector(
-        {static_cast<int64_t>(unique_nodes.size()), d}, std::move(emb));
-    tensor::Tensor z_src = tensor::GatherRows(embeddings, src_rows);
-    tensor::Tensor z_dst = tensor::GatherRows(embeddings, dst_rows);
-    tensor::Tensor logits = model_->ScoreLinkLogits(z_src, z_dst);
-    tensor::Tensor probs = tensor::Sigmoid(logits);
-    result.scores.assign(probs.data(), probs.data() + probs.numel());
+    // Decode straight from the embedding rows (no gathered tensors).
+    result.scores.resize(events.size());
+    model_->weights().ScoreLinks(embeddings, sync.src_rows, sync.dst_rows,
+                                 result.scores.data());
 
     // Package the asynchronous work while we still hold the embeddings:
     // every record is homed on its source endpoint's shard, and each
     // shard's block is sized once.
-    std::vector<size_t> homed_count(static_cast<size_t>(num_shards), 0);
+    sync.homed.assign(static_cast<size_t>(num_shards), 0);
     for (const graph::Event& e : events) {
-      ++homed_count[static_cast<size_t>(partition_->ShardOf(e.src))];
+      ++sync.homed[static_cast<size_t>(partition_->ShardOf(e.src))];
     }
     for (int s = 0; s < num_shards; ++s) {
-      const size_t n = homed_count[static_cast<size_t>(s)];
-      core::RecordRows& block = home_blocks[static_cast<size_t>(s)];
-      block.events.reserve(n);
-      block.event_index.reserve(n);
-      block.z.reserve(2 * n * static_cast<size_t>(d));
+      const size_t n = sync.homed[static_cast<size_t>(s)];
+      BatchJob& job = sync.jobs[static_cast<size_t>(s)];
+      job = BatchJob{};  // a dropped batch left its records behind
+      job.records.events.reserve(n);
+      job.records.event_index.reserve(n);
+      job.records.z.reserve(2 * n * d);
     }
-    const float* flat = embeddings.data();
     for (size_t i = 0; i < events.size(); ++i) {
       core::RecordRows& block =
-          home_blocks[static_cast<size_t>(partition_->ShardOf(events[i].src))];
+          sync.jobs[static_cast<size_t>(partition_->ShardOf(events[i].src))]
+              .records;
       block.events.push_back(events[i]);
       // φ reads the feature row of the id the graph slices store.
       if (events[i].edge_id < 0) {
@@ -312,8 +310,8 @@ Result<ShardedEngine::InferenceResult> ShardedEngine::InferBatch(
             next_ordinal_ + static_cast<int64_t>(i);
       }
       block.event_index.push_back(static_cast<int64_t>(i));
-      const float* zs = flat + src_rows[i] * d;
-      const float* zd = flat + dst_rows[i] * d;
+      const float* zs = embeddings + sync.src_rows[i] * static_cast<int64_t>(d);
+      const float* zd = embeddings + sync.dst_rows[i] * static_cast<int64_t>(d);
       block.z.insert(block.z.end(), zs, zs + d);
       block.z.insert(block.z.end(), zd, zd + d);
     }
@@ -360,7 +358,8 @@ Result<ShardedEngine::InferenceResult> ShardedEngine::InferBatch(
   // dead shard. The flags only flip at flushed batch boundaries
   // (SetShardDown / lane failure between batches), so one read per batch
   // is a consistent view.
-  std::vector<char> down(static_cast<size_t>(num_shards), 0);
+  std::vector<char>& down = sync.down;
+  down.resize(static_cast<size_t>(num_shards));
   int up_count = 0;
   for (int s = 0; s < num_shards; ++s) {
     down[static_cast<size_t>(s)] =
@@ -370,13 +369,9 @@ Result<ShardedEngine::InferenceResult> ShardedEngine::InferBatch(
     up_count += down[static_cast<size_t>(s)] == 0 ? 1 : 0;
   }
 
-  std::vector<BatchJob> jobs(static_cast<size_t>(num_shards));
+  std::vector<BatchJob>& jobs = sync.jobs;
   for (int s = 0; s < num_shards; ++s) {
     jobs[static_cast<size_t>(s)].ctx = ctx;
-    jobs[static_cast<size_t>(s)].records =
-        std::move(home_blocks[static_cast<size_t>(s)]);
-  }
-  for (int s = 0; s < num_shards; ++s) {
     const auto homed = jobs[static_cast<size_t>(s)].records.size();
     if (homed == 0) continue;
     if (down[static_cast<size_t>(s)] != 0) {

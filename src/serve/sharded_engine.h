@@ -90,6 +90,7 @@
 
 #include <atomic>
 #include <deque>
+#include <future>
 #include <limits>
 #include <map>
 #include <memory>
@@ -420,6 +421,40 @@ class ShardedEngine {
     core::NodeRowIndex index;  ///< Recipient → entry of `merged`.
   };
 
+  /// A shard's encode-task scratch on the synchronous link: its slice of
+  /// the batch's unique nodes, their state read and the forward's
+  /// buffers. Only the shard's encode task touches it, and that task runs
+  /// at most once per batch under infer_mu_ and is joined before
+  /// InferBatch returns. Starts empty and grows on first use.
+  struct EncodeScratch {
+    std::vector<graph::NodeId> nodes;
+    /// Row of nodes[0] in SyncScratch::embeddings (the shard's rows are
+    /// contiguous there).
+    size_t first_row = 0;
+    core::StateRead read;
+    core::ApanEncoder::Workspace forward;
+  };
+
+  /// The caller's per-batch buffers on the synchronous link, reused
+  /// across batches (cleared, never freed; empty until the first batch).
+  struct SyncScratch {
+    core::NodeRowIndex index;  ///< Node → its first-appearance number.
+    std::vector<graph::NodeId> unique_nodes;  ///< First-appearance order.
+    /// Per unique node (first-appearance number): its embeddings row.
+    std::vector<uint32_t> row_of;
+    /// Per event: the embeddings row of its src / dst.
+    std::vector<int64_t> src_rows;
+    std::vector<int64_t> dst_rows;
+    /// {unique nodes, dim}, grouped by owner shard in shard order.
+    std::vector<float> embeddings;
+    std::vector<int> active;  ///< Shards with nodes to encode.
+    std::vector<std::future<void>> encodes;
+    std::vector<size_t> homed;  ///< Records per home shard.
+    std::vector<char> down;     ///< Down flags read once per batch.
+    /// Per shard: the batch's job, records packaged in place.
+    std::vector<BatchJob> jobs;
+  };
+
   struct Shard {
     /// Guards the *pointee* of `store` between the encode pool
     /// (synchronous link) and this shard's worker (batch application).
@@ -451,6 +486,8 @@ class ShardedEngine {
     ExpandScratch expand;
     PropagateScratch propagate;
     MergeScratch merge;
+
+    EncodeScratch encode;  ///< This shard's encode task only.
 
     std::thread worker;
   };
@@ -549,6 +586,7 @@ class ShardedEngine {
   /// slice records every ingested event's time, owned or not).
   double last_timestamp_ APAN_GUARDED_BY(infer_mu_) =
       -std::numeric_limits<double>::infinity();
+  SyncScratch sync_ APAN_GUARDED_BY(infer_mu_);
   /// False until the first accepted batch. Gates RestoreShard under a
   /// duplicating transport: restoring a virgin engine rewinds nothing, so
   /// there is no pre-restore frame a rewound replay tag could re-accept —

@@ -164,14 +164,9 @@ void UnixSocketTransport::ReaderLoop(Lane* lane, int to_shard) {
     APAN_CHECK_MSG(length.ok(), length.status().ToString());
     payload.resize(*length);
     if (read_exact(payload.data(), payload.size()) != 1) return;
-    // A frame is one message or a coalesced batch; either way it fans out
-    // into per-message handler calls, so receivers never see batching.
-    Result<std::vector<ShardMessage>> messages =
-        wire::DecodeMessages(payload);
-    APAN_CHECK_MSG(messages.ok(), messages.status().ToString());
-    for (ShardMessage& message : *messages) {
-      handler_(to_shard, std::move(message));
-    }
+    Result<ShardMessage> message = wire::DecodeMessage(payload);
+    APAN_CHECK_MSG(message.ok(), message.status().ToString());
+    handler_(to_shard, std::move(*message));
   }
 }
 
@@ -202,8 +197,7 @@ Status UnixSocketTransport::ReconnectLaneLocked(Lane& lane, int to_shard) {
 }
 
 Status UnixSocketTransport::WriteFrame(int from_shard, int to_shard,
-                                       const std::vector<uint8_t>& frame,
-                                       int64_t message_count) {
+                                       const std::vector<uint8_t>& frame) {
   Lane& lane = LaneFor(from_shard, to_shard);
   util::MutexLock lock(lane.write_mu);
   if (lane.write_fd < 0) {
@@ -250,7 +244,7 @@ Status UnixSocketTransport::WriteFrame(int from_shard, int to_shard,
     if (!failed) {
       if (metrics_.valid()) {
         const int cell = metrics_.lane(from_shard, to_shard);
-        metrics_.frames->Add(cell, message_count);
+        metrics_.frames->Add(cell, 1);
         metrics_.bytes->Add(cell, static_cast<int64_t>(frame.size()));
         metrics_.syscalls->Add(cell, write_calls);
       }
@@ -272,23 +266,7 @@ Status UnixSocketTransport::Send(int from_shard, int to_shard,
   }
   std::vector<uint8_t> frame;
   wire::AppendFrame(message, &frame);
-  return WriteFrame(from_shard, to_shard, frame, /*message_count=*/1);
-}
-
-Status UnixSocketTransport::SendBatch(int from_shard, int to_shard,
-                                      std::vector<ShardMessage> messages) {
-  if (messages.empty()) return Status::OK();
-  if (!started_) return Status::FailedPrecondition("transport not started");
-  if (from_shard < 0 || from_shard >= num_shards_ || to_shard < 0 ||
-      to_shard >= num_shards_) {
-    return Status::InvalidArgument("shard id out of range");
-  }
-  // The whole per-peer batch travels as ONE frame through one write loop
-  // — per-peer syscalls per batch collapse from messages.size() to ~1.
-  std::vector<uint8_t> frame;
-  wire::AppendBatchFrame(messages, &frame);
-  return WriteFrame(from_shard, to_shard, frame,
-                    static_cast<int64_t>(messages.size()));
+  return WriteFrame(from_shard, to_shard, frame);
 }
 
 void UnixSocketTransport::Stop() {
@@ -343,12 +321,8 @@ Status UnixSocketTransport::Send(int, int, ShardMessage) {
   return Status::NotImplemented("AF_UNIX is unavailable on this platform");
 }
 
-Status UnixSocketTransport::SendBatch(int, int, std::vector<ShardMessage>) {
-  return Status::NotImplemented("AF_UNIX is unavailable on this platform");
-}
-
-Status UnixSocketTransport::WriteFrame(int, int, const std::vector<uint8_t>&,
-                                       int64_t) {
+Status UnixSocketTransport::WriteFrame(int, int,
+                                       const std::vector<uint8_t>&) {
   return Status::NotImplemented("AF_UNIX is unavailable on this platform");
 }
 

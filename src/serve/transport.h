@@ -49,17 +49,16 @@ namespace serve {
 /// \brief Per-lane transport accounting handles, installed by the engine
 /// before Start. Each counter has num_shards² cells — one per directed
 /// (from, to) lane — so concurrent lane writers never share a cell.
-/// frames counts accepted messages (a coalesced SendBatch adds one per
-/// element); bytes counts serialized frame bytes and syscalls counts
-/// ::write calls (both zero for transports that never serialize, e.g.
-/// in-process delivery) — so syscalls/frames is the coalescing ratio.
+/// frames counts accepted messages (one frame each); bytes counts
+/// serialized frame bytes and syscalls counts ::write calls (both zero
+/// for transports that never serialize, e.g. in-process delivery).
 struct TransportMetrics {
   obs::Counter* frames = nullptr;
   obs::Counter* bytes = nullptr;
   obs::Counter* syscalls = nullptr;
   /// Robustness accounting, optional on top of valid(): lane_reconnects
   /// counts successful lane rebuilds after a peer death (one per rebuilt
-  /// socketpair), send_failures counts Sends/SendBatches that returned a
+  /// socketpair), send_failures counts Sends that returned a
   /// non-OK Status after exhausting reconnect attempts. Per directed
   /// lane, like the others. Null handles skip the count, not the retry.
   obs::Counter* lane_reconnects = nullptr;
@@ -93,23 +92,6 @@ class Transport {
   /// lane, including from_shard == to_shard (self-mail takes the same
   /// path as foreign mail). Fails after Stop.
   virtual Status Send(int from_shard, int to_shard, ShardMessage message) = 0;
-
-  /// \brief Queues several messages for one destination — semantically
-  /// identical to Send per element (at-least-once, unordered), but a
-  /// serializing transport may coalesce the whole batch into ONE wire
-  /// frame: UnixSocketTransport writes one frame with one write loop per
-  /// peer batch instead of per message, which is where the per-peer
-  /// syscall count of a sharded batch collapses. The default loops over
-  /// Send — right for in-process delivery (no frame cost to save) and for
-  /// FaultyTransport (faults must hit each message independently, or the
-  /// soak would exercise less reordering than the real network can).
-  virtual Status SendBatch(int from_shard, int to_shard,
-                           std::vector<ShardMessage> messages) {
-    for (ShardMessage& message : messages) {
-      APAN_RETURN_NOT_OK(Send(from_shard, to_shard, std::move(message)));
-    }
-    return Status::OK();
-  }
 
   /// Drains every accepted Send to its handler, then tears the lanes
   /// down. No Send may be in flight concurrently with Stop; after it
@@ -178,11 +160,6 @@ class UnixSocketTransport : public Transport {
 
   Status Start(int num_shards, Handler handler) override;
   Status Send(int from_shard, int to_shard, ShardMessage message) override;
-  /// One coalesced frame, one write loop (typically one syscall) for the
-  /// whole batch; the reader fans it back out into per-message handler
-  /// calls, so delivery semantics are unchanged.
-  Status SendBatch(int from_shard, int to_shard,
-                   std::vector<ShardMessage> messages) override;
   void Stop() override;
   const char* name() const override { return "uds"; }
   void SetMetrics(const TransportMetrics& metrics) override {
@@ -213,14 +190,14 @@ class UnixSocketTransport : public Transport {
     std::thread reader;
   };
 
-  /// Shared tail of Send/SendBatch: one locked write loop for a fully
-  /// serialized frame carrying `message_count` messages. A failed write
+  /// Send's tail: one locked write loop for a fully serialized frame.
+  /// A failed write
   /// (peer death: EPIPE/ECONNRESET) is surfaced as Status, never a
   /// signal or a crash: the lane is rebuilt with capped exponential
   /// backoff and the frame retried; after the attempts are exhausted the
   /// caller gets IoError and the send_failures cell is bumped.
   Status WriteFrame(int from_shard, int to_shard,
-                    const std::vector<uint8_t>& frame, int64_t message_count);
+                    const std::vector<uint8_t>& frame);
   /// Tears down and rebuilds one lane under its write lock: kicks the old
   /// reader off the dead socket, joins it, makes a fresh socketpair and
   /// respawns the reader. The joined reader hands read_fd back to this

@@ -11,11 +11,9 @@ namespace {
 using namespace codec;
 
 // Payload kind tags. Values are part of the wire format — append only.
-// Kinds 2 and 3 (a retired request/response pair) are never reassigned
-// and decode as unknown.
+// Kinds 2 and 3 (a retired request/response pair) and 4 (a retired
+// coalesced batch) are never reassigned and decode as unknown.
 constexpr uint8_t kShardPartialKind = 1;
-// A coalesced batch of single-message payloads (never nested).
-constexpr uint8_t kBatchKind = 4;
 
 // ---- Mail block ------------------------------------------------------------
 
@@ -134,82 +132,6 @@ void AppendFrame(const ShardMessage& message, std::vector<uint8_t>* out) {
     (*out)[header_at + static_cast<size_t>(i)] =
         static_cast<uint8_t>(payload_size >> (8 * i));
   }
-}
-
-void AppendBatchFrame(std::span<const ShardMessage> messages,
-                      std::vector<uint8_t>* out) {
-  APAN_CHECK_MSG(!messages.empty(), "wire: batch frame needs >= 1 message");
-  if (messages.size() == 1) {
-    AppendFrame(messages.front(), out);  // dominant case, byte-identical
-    return;
-  }
-  const size_t header_at = out->size();
-  PutU32(out, 0);
-  PutU8(out, kBatchKind);
-  PutU64(out, messages.size());
-  for (const ShardMessage& message : messages) {
-    const size_t inner_at = out->size();
-    PutU32(out, 0);
-    EncodePayloadTo(message, out);
-    const size_t inner_size = out->size() - inner_at - kFrameHeaderBytes;
-    APAN_CHECK_MSG(inner_size <= kMaxPayloadBytes,
-                   "wire: batch element exceeds kMaxPayloadBytes");
-    for (int i = 0; i < 4; ++i) {
-      (*out)[inner_at + static_cast<size_t>(i)] =
-          static_cast<uint8_t>(inner_size >> (8 * i));
-    }
-  }
-  const size_t payload_size = out->size() - header_at - kFrameHeaderBytes;
-  APAN_CHECK_MSG(payload_size <= kMaxPayloadBytes,
-                 "wire: batch frame payload exceeds kMaxPayloadBytes");
-  for (int i = 0; i < 4; ++i) {
-    (*out)[header_at + static_cast<size_t>(i)] =
-        static_cast<uint8_t>(payload_size >> (8 * i));
-  }
-}
-
-Result<std::vector<ShardMessage>> DecodeMessages(
-    std::span<const uint8_t> payload) {
-  if (payload.empty()) {
-    return Status::IoError("wire: empty payload");
-  }
-  std::vector<ShardMessage> messages;
-  if (payload.front() != kBatchKind) {
-    Result<ShardMessage> single = DecodeMessage(payload);
-    APAN_RETURN_NOT_OK(single.status());
-    messages.push_back(std::move(*single));
-    return messages;
-  }
-  Reader reader(payload, "wire");
-  uint8_t kind = 0;
-  APAN_RETURN_NOT_OK(reader.ReadU8(&kind, "batch.kind"));
-  uint64_t count = 0;
-  // Each element is at least a length word plus a kind byte.
-  APAN_RETURN_NOT_OK(
-      reader.ReadCount(&count, kFrameHeaderBytes + 1, "batch.count"));
-  if (count == 0) {
-    return Status::IoError("wire: empty batch frame");
-  }
-  messages.reserve(static_cast<size_t>(count));
-  for (uint64_t i = 0; i < count; ++i) {
-    uint32_t length = 0;
-    APAN_RETURN_NOT_OK(reader.ReadU32(&length, "batch.element_length"));
-    if (length == 0 || length > kMaxPayloadBytes) {
-      return Status::IoError(internal::StrCat(
-          "wire: corrupt batch element length ", length));
-    }
-    std::span<const uint8_t> element;
-    APAN_RETURN_NOT_OK(reader.ReadSpan(length, &element, "batch.element"));
-    // DecodeMessage rejects kBatchKind as unknown, so batches never nest.
-    Result<ShardMessage> message = DecodeMessage(element);
-    APAN_RETURN_NOT_OK(message.status());
-    messages.push_back(std::move(*message));
-  }
-  if (reader.remaining() != 0) {
-    return Status::IoError(internal::StrCat(
-        "wire: ", reader.remaining(), " trailing bytes after batch"));
-  }
-  return messages;
 }
 
 Result<uint32_t> DecodeFrameLength(

@@ -6,14 +6,9 @@
 //   frame   := u32 payload_length | payload
 //   payload := u8 kind | body
 //
-// Same-destination messages can coalesce into ONE frame (the per-peer
-// batching that turns N syscalls per peer per batch into one on a stream
-// transport): kind 4 is a batch payload whose body is a count followed by
-// length-prefixed single-message payloads —
-//
-//   batch_payload := u8 4 | u64 count | count × (u32 len | payload)
-//
-// Batches never nest: an inner payload must carry a single-message kind.
+// Kind 1 (ShardPartial) is the only kind in use; kinds 2 and 3 (a retired
+// request/response pair) and 4 (a retired coalesced batch) decode as
+// unknown.
 //
 // All integers are little-endian fixed-width; floating-point values are
 // bit-cast to the same-width integer, so a round trip is bitwise exact for
@@ -64,20 +59,6 @@ Result<ShardMessage> DecodeMessage(std::span<const uint8_t> payload);
 /// \brief Appends a full frame (length prefix + payload) for `message` to
 /// `out` — the unit a stream transport writes.
 void AppendFrame(const ShardMessage& message, std::vector<uint8_t>* out);
-
-/// \brief Appends ONE frame coalescing all of `messages` (kind-4 batch
-/// payload; must be non-empty). A one-element span degenerates to
-/// AppendFrame, so the uncoalesced fast path stays byte-identical.
-void AppendBatchFrame(std::span<const ShardMessage> messages,
-                      std::vector<uint8_t>* out);
-
-/// \brief Parses a frame payload that is either a single message (kind 1
-/// — returns a one-element vector) or a kind-4 batch. Rejects nested
-/// batches, empty batches, and every single-message corruption mode
-/// (truncation, bad counts, trailing bytes — inside each element and
-/// around the batch envelope).
-Result<std::vector<ShardMessage>> DecodeMessages(
-    std::span<const uint8_t> payload);
 
 /// \brief Reads the payload length from a frame header. Rejects zero (a
 /// payload always holds at least the kind byte) and lengths above

@@ -38,6 +38,88 @@ inline float Tree8(const float* l) {
   return ((l[0] + l[1]) + (l[2] + l[3])) + ((l[4] + l[5]) + (l[6] + l[7]));
 }
 
+// ---- Softmax exponential (shared by every tier) ------------------------------
+//
+// exp(x) for x <= 0, the domain of softmax's max-shifted scores, written
+// once on 8-lane generic vectors: each tier inlines the same IEEE
+// operations under its own target (plain SSE/NEON halves in the scalar
+// and NEON tiers, ymm registers in the AVX2 tier), so every tier is
+// bitwise equal lane for lane. Cephes expf: n = round(x / ln 2) by the
+// 1.5 * 2^23 rounding trick, r = x - n ln 2 in two pieces (the high piece
+// is exact in 9 bits, so n * kLn2Hi is exact), a degree-5 polynomial in
+// r, then 2^n built straight in the exponent field. Multiplies and adds
+// stay separate (no FMA), like every other serve kernel. Below ln(FLT_MIN)
+// the result is exactly 0 — where std::exp returns a denormal (< 1.2e-38)
+// — so an attention slot masked with kMaskedOut gets exactly 0 weight.
+// NaN propagates. Max error vs std::exp: docs/performance.md.
+
+typedef float F8 __attribute__((vector_size(32)));
+typedef uint32_t U8 __attribute__((vector_size(32)));
+
+#define APAN_SPLAT8(v) {v, v, v, v, v, v, v, v}
+constexpr F8 kExpMin = APAN_SPLAT8(-87.33654475f);  // ln(FLT_MIN)
+// Underflowing lanes compute exp(-87) instead: normal, where clamping at
+// kExpMin itself would yield a denormal and a slow microcode assist.
+constexpr F8 kExpClamp = APAN_SPLAT8(-87.0f);
+constexpr F8 kLog2e = APAN_SPLAT8(1.44269504088896341f);
+constexpr F8 kRoundMagic = APAN_SPLAT8(12582912.0f);  // 1.5 * 2^23
+constexpr F8 kLn2Hi = APAN_SPLAT8(0.693359375f);
+constexpr F8 kLn2Lo = APAN_SPLAT8(-2.12194440e-4f);
+constexpr F8 kExpP0 = APAN_SPLAT8(1.9875691500e-4f);
+constexpr F8 kExpP1 = APAN_SPLAT8(1.3981999507e-3f);
+constexpr F8 kExpP2 = APAN_SPLAT8(8.3334519073e-3f);
+constexpr F8 kExpP3 = APAN_SPLAT8(4.1665795894e-2f);
+constexpr F8 kExpP4 = APAN_SPLAT8(1.6666665459e-1f);
+constexpr F8 kExpP5 = APAN_SPLAT8(5.0000001201e-1f);
+constexpr F8 kOne = APAN_SPLAT8(1.0f);
+constexpr U8 kExpBias = APAN_SPLAT8(127u);
+#undef APAN_SPLAT8
+
+/// exp of the 8 floats at `in` into `out` (may alias).
+__attribute__((always_inline)) inline void Exp8(const float* in, float* out) {
+  F8 x;
+  std::memcpy(&x, in, sizeof(x));
+  // Lanes that underflow are clamped (keeping every intermediate normal)
+  // and zeroed at the end; NaN compares false and flows through.
+  const U8 flush = reinterpret_cast<U8>(x < kExpMin);
+  x = reinterpret_cast<F8>((flush & reinterpret_cast<U8>(kExpClamp)) |
+                           (~flush & reinterpret_cast<U8>(x)));
+  const F8 t = x * kLog2e + kRoundMagic;  // n + 1.5 * 2^23, n integral
+  const F8 n = t - kRoundMagic;
+  F8 r = x - n * kLn2Hi;
+  r = r - n * kLn2Lo;
+  const F8 r2 = r * r;
+  F8 y = kExpP0 * r + kExpP1;
+  y = y * r + kExpP2;
+  y = y * r + kExpP3;
+  y = y * r + kExpP4;
+  y = y * r + kExpP5;
+  y = y * r2 + r + kOne;
+  // t's low mantissa bits hold n: 2^n = (n + 127) << 23 as float bits.
+  const U8 scale =
+      (reinterpret_cast<U8>(t) - reinterpret_cast<U8>(kRoundMagic) +
+       kExpBias)
+      << 23;
+  y = y * reinterpret_cast<F8>(scale);
+  y = reinterpret_cast<F8>(reinterpret_cast<U8>(y) & ~flush);
+  std::memcpy(out, &y, sizeof(y));
+}
+
+/// y[i] = exp(x[i]) over a contiguous block (x may equal y). The tail
+/// runs through the same 8-lane code on a padded copy, so an element's
+/// result never depends on its position.
+__attribute__((always_inline)) inline void ExpBlock(const float* x, float* y,
+                                                    int64_t n) {
+  int64_t i = 0;
+  for (; i + 8 <= n; i += 8) Exp8(x + i, y + i);
+  if (i < n) {
+    float tail[8] = {0, 0, 0, 0, 0, 0, 0, 0};
+    std::memcpy(tail, x + i, static_cast<size_t>(n - i) * sizeof(float));
+    Exp8(tail, tail);
+    std::memcpy(y + i, tail, static_cast<size_t>(n - i) * sizeof(float));
+  }
+}
+
 }  // namespace
 
 // ---- Naive serial reference -------------------------------------------------
@@ -116,6 +198,10 @@ float Dot(const float* a, const float* b, int64_t n) {
   return s;
 }
 
+void Exp(const float* x, float* y, int64_t n) {
+  for (int64_t i = 0; i < n; ++i) y[i] = std::exp(x[i]);
+}
+
 }  // namespace reference
 
 // ---- Portable blocked-scalar tier -------------------------------------------
@@ -160,17 +246,22 @@ inline float BlockedSqDiffSum(const float* a, float mu, int64_t n) {
   return Tree8(acc);
 }
 
-/// Softmax of one row into yr; xr may equal yr. `add` (nullable) is an
+/// Softmax's first pass over one row: yr = (xr + add) - max, so every
+/// shifted score is <= 0. xr may equal yr; `add` (nullable) is an
 /// additive pre-softmax term (the attention mask).
-inline void SoftmaxRow(const float* xr, const float* add, float* yr,
-                       int64_t d) {
+inline void ShiftRow(const float* xr, const float* add, float* yr,
+                     int64_t d) {
   if (add != nullptr) {
     for (int64_t j = 0; j < d; ++j) yr[j] = xr[j] + add[j];
     xr = yr;
   }
   float mx = xr[0];
   for (int64_t j = 1; j < d; ++j) mx = std::max(mx, xr[j]);
-  for (int64_t j = 0; j < d; ++j) yr[j] = std::exp(xr[j] - mx);
+  for (int64_t j = 0; j < d; ++j) yr[j] = xr[j] - mx;
+}
+
+/// Softmax's last pass over one row of exponentials: divide by the sum.
+inline void NormalizeRow(float* yr, int64_t d) {
   const float inv = 1.0f / BlockedSum(yr, d);
   for (int64_t j = 0; j < d; ++j) yr[j] *= inv;
 }
@@ -209,9 +300,9 @@ void Bmm(const float* a, const float* b, float* c, int64_t bs, int64_t n,
 }
 
 void SoftmaxLastDim(const float* x, float* y, int64_t rows, int64_t d) {
-  for (int64_t r = 0; r < rows; ++r) {
-    SoftmaxRow(x + r * d, nullptr, y + r * d, d);
-  }
+  for (int64_t r = 0; r < rows; ++r) ShiftRow(x + r * d, nullptr, y + r * d, d);
+  ExpBlock(y, y, rows * d);
+  for (int64_t r = 0; r < rows; ++r) NormalizeRow(y + r * d, d);
 }
 
 void MaskedSoftmax(const float* scores, const float* mask, float* y,
@@ -220,10 +311,14 @@ void MaskedSoftmax(const float* scores, const float* mask, float* y,
     const float* mrow = mask != nullptr ? mask + bi * m : nullptr;
     for (int64_t hi = 0; hi < h; ++hi) {
       const int64_t off = (bi * h + hi) * m;
-      SoftmaxRow(scores + off, mrow, y + off, m);
+      ShiftRow(scores + off, mrow, y + off, m);
     }
   }
+  ExpBlock(y, y, b * h * m);
+  for (int64_t r = 0; r < b * h; ++r) NormalizeRow(y + r * m, m);
 }
+
+void Exp(const float* x, float* y, int64_t n) { ExpBlock(x, y, n); }
 
 void RowNormalize(const float* x, float* y, int64_t rows, int64_t d,
                   float eps, float* inv_sigma) {
@@ -374,9 +469,9 @@ __attribute__((target("avx2"))) inline float BlockedSqDiffSum(const float* a,
   });
 }
 
-__attribute__((target("avx2"))) inline void SoftmaxRow(const float* xr,
-                                                       const float* add,
-                                                       float* yr, int64_t d) {
+__attribute__((target("avx2"))) inline void ShiftRow(const float* xr,
+                                                     const float* add,
+                                                     float* yr, int64_t d) {
   if (add != nullptr) {
     int64_t j = 0;
     for (; j + 8 <= d; j += 8) {
@@ -388,7 +483,16 @@ __attribute__((target("avx2"))) inline void SoftmaxRow(const float* xr,
   }
   float mx = xr[0];
   for (int64_t j = 1; j < d; ++j) mx = std::max(mx, xr[j]);
-  for (int64_t j = 0; j < d; ++j) yr[j] = std::exp(xr[j] - mx);
+  const __m256 vmx = _mm256_set1_ps(mx);
+  int64_t j = 0;
+  for (; j + 8 <= d; j += 8) {
+    _mm256_storeu_ps(yr + j, _mm256_sub_ps(_mm256_loadu_ps(xr + j), vmx));
+  }
+  for (; j < d; ++j) yr[j] = xr[j] - mx;
+}
+
+__attribute__((target("avx2"))) inline void NormalizeRow(float* yr,
+                                                         int64_t d) {
   const float inv = 1.0f / BlockedSum(yr, d);
   const __m256 vinv = _mm256_set1_ps(inv);
   int64_t j = 0;
@@ -556,9 +660,9 @@ __attribute__((target("avx2"))) void Bmm(const float* a, const float* b,
 
 __attribute__((target("avx2"))) void SoftmaxLastDim(const float* x, float* y,
                                                     int64_t rows, int64_t d) {
-  for (int64_t r = 0; r < rows; ++r) {
-    SoftmaxRow(x + r * d, nullptr, y + r * d, d);
-  }
+  for (int64_t r = 0; r < rows; ++r) ShiftRow(x + r * d, nullptr, y + r * d, d);
+  ExpBlock(y, y, rows * d);
+  for (int64_t r = 0; r < rows; ++r) NormalizeRow(y + r * d, d);
 }
 
 __attribute__((target("avx2"))) void MaskedSoftmax(const float* scores,
@@ -569,9 +673,16 @@ __attribute__((target("avx2"))) void MaskedSoftmax(const float* scores,
     const float* mrow = mask != nullptr ? mask + bi * m : nullptr;
     for (int64_t hi = 0; hi < h; ++hi) {
       const int64_t off = (bi * h + hi) * m;
-      SoftmaxRow(scores + off, mrow, y + off, m);
+      ShiftRow(scores + off, mrow, y + off, m);
     }
   }
+  ExpBlock(y, y, b * h * m);
+  for (int64_t r = 0; r < b * h; ++r) NormalizeRow(y + r * m, m);
+}
+
+__attribute__((target("avx2"))) void Exp(const float* x, float* y,
+                                         int64_t n) {
+  ExpBlock(x, y, n);
 }
 
 __attribute__((target("avx2"))) void RowNormalize(const float* x, float* y,
@@ -785,8 +896,8 @@ inline float BlockedSqDiffSum(const float* a, float mu, int64_t n) {
   });
 }
 
-inline void SoftmaxRow(const float* xr, const float* add, float* yr,
-                       int64_t d) {
+inline void ShiftRow(const float* xr, const float* add, float* yr,
+                     int64_t d) {
   if (add != nullptr) {
     int64_t j = 0;
     for (; j + 4 <= d; j += 4) {
@@ -797,7 +908,15 @@ inline void SoftmaxRow(const float* xr, const float* add, float* yr,
   }
   float mx = xr[0];
   for (int64_t j = 1; j < d; ++j) mx = std::max(mx, xr[j]);
-  for (int64_t j = 0; j < d; ++j) yr[j] = std::exp(xr[j] - mx);
+  const float32x4_t vmx = vdupq_n_f32(mx);
+  int64_t j = 0;
+  for (; j + 4 <= d; j += 4) {
+    vst1q_f32(yr + j, vsubq_f32(vld1q_f32(xr + j), vmx));
+  }
+  for (; j < d; ++j) yr[j] = xr[j] - mx;
+}
+
+inline void NormalizeRow(float* yr, int64_t d) {
   const float inv = 1.0f / BlockedSum(yr, d);
   const float32x4_t vinv = vdupq_n_f32(inv);
   int64_t j = 0;
@@ -865,9 +984,9 @@ void Bmm(const float* a, const float* b, float* c, int64_t bs, int64_t n,
 }
 
 void SoftmaxLastDim(const float* x, float* y, int64_t rows, int64_t d) {
-  for (int64_t r = 0; r < rows; ++r) {
-    SoftmaxRow(x + r * d, nullptr, y + r * d, d);
-  }
+  for (int64_t r = 0; r < rows; ++r) ShiftRow(x + r * d, nullptr, y + r * d, d);
+  ExpBlock(y, y, rows * d);
+  for (int64_t r = 0; r < rows; ++r) NormalizeRow(y + r * d, d);
 }
 
 void MaskedSoftmax(const float* scores, const float* mask, float* y,
@@ -876,10 +995,14 @@ void MaskedSoftmax(const float* scores, const float* mask, float* y,
     const float* mrow = mask != nullptr ? mask + bi * m : nullptr;
     for (int64_t hi = 0; hi < h; ++hi) {
       const int64_t off = (bi * h + hi) * m;
-      SoftmaxRow(scores + off, mrow, y + off, m);
+      ShiftRow(scores + off, mrow, y + off, m);
     }
   }
+  ExpBlock(y, y, b * h * m);
+  for (int64_t r = 0; r < b * h; ++r) NormalizeRow(y + r * m, m);
 }
+
+void Exp(const float* x, float* y, int64_t n) { ExpBlock(x, y, n); }
 
 void RowNormalize(const float* x, float* y, int64_t rows, int64_t d,
                   float eps, float* inv_sigma) {
@@ -1018,6 +1141,7 @@ struct DispatchTable {
   void (*add_same)(const float*, const float*, float*, int64_t) =
       scalar::AddSame;
   float (*dot)(const float*, const float*, int64_t) = scalar::Dot;
+  void (*exp)(const float*, float*, int64_t) = scalar::Exp;
   void (*attention_scores)(const float*, const float*, const float*, float*,
                            float*, int64_t, int64_t, int64_t, int64_t,
                            int64_t, float) = scalar::AttentionScores;
@@ -1055,6 +1179,7 @@ DispatchTable BuildTable() {
     t.add_bias = avx2::AddBias;
     t.add_same = avx2::AddSame;
     t.dot = avx2::Dot;
+    t.exp = avx2::Exp;
     t.attention_scores = avx2::AttentionScores;
     t.attention_context = avx2::AttentionContext;
     t.residual_layer_norm = avx2::ResidualLayerNorm;
@@ -1073,6 +1198,7 @@ DispatchTable BuildTable() {
     t.add_bias = neon::AddBias;
     t.add_same = neon::AddSame;
     t.dot = neon::Dot;
+    t.exp = neon::Exp;
     t.attention_scores = neon::AttentionScores;
     t.attention_context = neon::AttentionContext;
     t.residual_layer_norm = neon::ResidualLayerNorm;
@@ -1137,6 +1263,7 @@ void AddSame(const float* a, const float* b, float* y, int64_t n) {
 float Dot(const float* a, const float* b, int64_t n) {
   return Table().dot(a, b, n);
 }
+void Exp(const float* x, float* y, int64_t n) { Table().exp(x, y, n); }
 void AttentionScores(const float* q, const float* wk, const float* keys,
                      float* u, float* scores, int64_t b, int64_t h,
                      int64_t m, int64_t dk, int64_t dh, float scale) {

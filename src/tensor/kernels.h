@@ -104,6 +104,14 @@ void AddSame(const float* a, const float* b, float* y, int64_t n);
 /// Blocked dot product (8-lane accumulation, fixed-tree combine).
 float Dot(const float* a, const float* b, int64_t n);
 
+/// y[i] = exp(x[i]) for x[i] <= 0 (softmax's max-shifted scores; x == y
+/// ok) — the exponential SoftmaxLastDim and MaskedSoftmax run, one
+/// implementation on 8-lane vectors for every tier. Exactly 0 below
+/// ln(FLT_MIN) (std::exp would return a denormal there), so a kMaskedOut
+/// slot gets exactly 0 weight; NaN propagates. Within a few ULP of
+/// std::exp (reference::Exp).
+void Exp(const float* x, float* y, int64_t n);
+
 /// Absorbed single-query attention scores. With one query per row,
 /// q_h . (W_k x)_h = (W_k[:, head h] q_h) . x, so the query is folded
 /// through the key projection once and no key row is ever projected:
@@ -211,6 +219,7 @@ void AddBias(const float* x, const float* bias, float* y, int64_t rows,
              int64_t d);
 void AddSame(const float* a, const float* b, float* y, int64_t n);
 float Dot(const float* a, const float* b, int64_t n);
+void Exp(const float* x, float* y, int64_t n);
 void AttentionScores(const float* q, const float* wk, const float* keys,
                      float* u, float* scores, int64_t b, int64_t h,
                      int64_t m, int64_t dk, int64_t dh, float scale);
@@ -254,6 +263,7 @@ void RowNormalize(const float* x, float* y, int64_t rows, int64_t d,
 void AddBiasRelu(const float* x, const float* bias, float* y, int64_t rows,
                  int64_t d);
 float Dot(const float* a, const float* b, int64_t n);
+void Exp(const float* x, float* y, int64_t n);  ///< std::exp per element.
 // Pre-kernel backward-closure loop orders from ops.cc (the strided
 // column walks with zero-skips), kept as the before side of the
 // micro_substrate before/after pairs. Defined in kernels_backward.cc.

@@ -292,16 +292,7 @@ Tensor LeakyRelu(const Tensor& a, float slope) {
 
 Tensor Sigmoid(const Tensor& a) {
   return UnaryOp(
-      a,
-      [](float x) {
-        // Stable sigmoid.
-        if (x >= 0.0f) {
-          const float z = std::exp(-x);
-          return 1.0f / (1.0f + z);
-        }
-        const float z = std::exp(x);
-        return z / (1.0f + z);
-      },
+      a, [](float x) { return StableSigmoid(x); },
       [](float g, float, float y) { return g * y * (1.0f - y); });
 }
 

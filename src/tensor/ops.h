@@ -15,6 +15,7 @@
 #ifndef APAN_TENSOR_OPS_H_
 #define APAN_TENSOR_OPS_H_
 
+#include <cmath>
 #include <cstdint>
 #include <vector>
 
@@ -50,6 +51,16 @@ Tensor AddBiasRelu(const Tensor& a, const Tensor& bias);
 /// max(x, slope*x) with slope in (0, 1); GAT's attention nonlinearity.
 Tensor LeakyRelu(const Tensor& a, float slope = 0.2f);
 Tensor Sigmoid(const Tensor& a);
+/// The numerically stable scalar sigmoid Sigmoid applies per element
+/// (exp of -|x| only, so it never overflows).
+inline float StableSigmoid(float x) {
+  if (x >= 0.0f) {
+    const float z = std::exp(-x);
+    return 1.0f / (1.0f + z);
+  }
+  const float z = std::exp(x);
+  return z / (1.0f + z);
+}
 Tensor Tanh(const Tensor& a);
 Tensor Exp(const Tensor& a);
 /// Natural log; inputs are clamped to >= eps for stability.

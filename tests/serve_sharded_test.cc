@@ -11,6 +11,7 @@
 
 #include "data/synthetic.h"
 #include "serve_state_util.h"
+#include "tensor/kernels.h"
 
 namespace apan {
 namespace serve {
@@ -163,10 +164,17 @@ TEST(ShardedEngineTest, FreeRunningMatchesOracleAcrossShardCounts) {
 
 /// Flush-stepped: a Flush between batches makes every encode read fully
 /// settled state, exactly as the oracle does, so scores and raw mail
-/// payloads are comparable too. Returns the largest score gap.
-double RunFlushStepped(const Fixture& f, int num_shards, float tolerance) {
+/// payloads are comparable too. `prepare` (optional) runs on both models
+/// before serving starts. Returns the largest score gap.
+double RunFlushStepped(
+    const Fixture& f, int num_shards, float tolerance,
+    const std::function<void(const core::ApanModel&)>& prepare = nullptr) {
   SequentialOracle oracle(f.config, &f.dataset.features, 3);
   core::ApanModel sharded(f.config, &f.dataset.features, 3);
+  if (prepare) {
+    prepare(oracle.model());
+    prepare(sharded);
+  }
   ShardedEngine::Options options;
   options.num_shards = num_shards;
   ShardedEngine engine(&sharded, options);
@@ -201,6 +209,55 @@ TEST(ShardedEngineTest, SingleShardFlushSteppedMatchesOracleBitwise) {
     f.config.mailbox_slots = 8;
     f.config.propagation_hops = hops;
     EXPECT_EQ(RunFlushStepped(f, /*num_shards=*/1, /*tolerance=*/0.0f), 0.0);
+  }
+}
+
+/// Sets the Eq. 7 link calibration through the model's parameters
+/// (link_scale {1, 1} and link_bias {1} are the first two registered).
+void SetLinkCalibration(const core::ApanModel& model, float scale,
+                        float bias) {
+  std::vector<tensor::Tensor> params = model.Parameters();
+  ASSERT_GE(params.size(), 2u);
+  ASSERT_EQ(params[0].shape(), (tensor::Shape{1, 1}));
+  ASSERT_EQ(params[1].shape(), (tensor::Shape{1}));
+  params[0].data()[0] = scale;
+  params[1].data()[0] = bias;
+}
+
+TEST(ShardedEngineTest, CalibratedDecoderMatchesOracleBitwise) {
+  // Every other serve test keeps link_scale = 1 and link_bias = 0, where
+  // a decoder that dropped the calibration would still pass.
+  constexpr float kScale = 1.75f;
+  constexpr float kBias = -0.375f;
+  Fixture f;
+  f.config.mailbox_slots = 8;
+  EXPECT_EQ(RunFlushStepped(f, /*num_shards=*/1, /*tolerance=*/0.0f,
+                            [&](const core::ApanModel& model) {
+                              SetLinkCalibration(model, kScale, kBias);
+                            }),
+            0.0);
+
+  // The engine and the oracle share the inference decoder, so hold that
+  // decoder to the training graph's arithmetic too: same logits, and not
+  // the uncalibrated ones.
+  core::ApanModel model(f.config, &f.dataset.features, 3);
+  SetLinkCalibration(model, kScale, kBias);
+  Rng rng(5);
+  const int64_t d = f.config.embedding_dim;
+  const tensor::Tensor z_src = tensor::Tensor::Randn({16, d}, &rng);
+  const tensor::Tensor z_dst = tensor::Tensor::Randn({16, d}, &rng);
+  const tensor::Tensor graph = model.ScoreLinkLogits(z_src, z_dst);
+  tensor::NoGradGuard no_grad;
+  const tensor::Tensor fused = model.ScoreLinkLogits(z_src, z_dst);
+  ASSERT_EQ(fused.shape(), graph.shape());
+  const float inv_sqrt_d = 1.0f / std::sqrt(static_cast<float>(d));
+  for (int64_t i = 0; i < 16; ++i) {
+    EXPECT_NEAR(fused.item(i), graph.item(i), 1e-5f) << "row " << i;
+    const float uncalibrated =
+        tensor::kernels::Dot(z_src.data() + i * d, z_dst.data() + i * d, d) *
+        inv_sqrt_d;
+    EXPECT_NEAR(fused.item(i), uncalibrated * kScale + kBias, 1e-5f)
+        << "row " << i;
   }
 }
 

@@ -122,12 +122,6 @@ TEST(WireTest, FrameRoundTrip) {
 
 // ---- Malformed input -------------------------------------------------------
 
-// A frame's payload view (length prefix stripped).
-std::span<const uint8_t> FramePayloadOf(const std::vector<uint8_t>& frame) {
-  return std::span<const uint8_t>(frame.data() + wire::kFrameHeaderBytes,
-                                  frame.size() - wire::kFrameHeaderBytes);
-}
-
 TEST(WireTest, EveryTruncationFailsCleanly) {
   for (const ShardMessage& message : Exemplars()) {
     const std::vector<uint8_t> payload = wire::EncodeMessage(message);
@@ -151,9 +145,10 @@ TEST(WireTest, UnknownKindRejected) {
   std::vector<uint8_t> payload = {0xEE};
   EXPECT_FALSE(wire::DecodeMessage(payload).ok());
   EXPECT_FALSE(wire::DecodeMessage({}).ok());
-  // Kinds 2 and 3 are retired, never reassigned: a valid partial body
-  // behind either kind byte must still come back as an unknown kind.
-  for (const uint8_t retired : {uint8_t{2}, uint8_t{3}}) {
+  // Kinds 2, 3 and 4 are retired, never reassigned: a valid partial body
+  // behind any of those kind bytes must still come back as an unknown
+  // kind.
+  for (const uint8_t retired : {uint8_t{2}, uint8_t{3}, uint8_t{4}}) {
     std::vector<uint8_t> relabeled = wire::EncodeMessage(MakePartial());
     relabeled[0] = retired;
     Result<ShardMessage> decoded = wire::DecodeMessage(relabeled);
@@ -182,10 +177,6 @@ TEST(WireTest, CorruptCountRejectedBeforeAllocation) {
 void ExpectRejected(const ShardMessage& message) {
   const std::vector<uint8_t> payload = wire::EncodeMessage(message);
   EXPECT_FALSE(wire::DecodeMessage(payload).ok());
-  std::vector<uint8_t> frame;
-  const ShardMessage pair[] = {message, ShardPartial{}};
-  wire::AppendBatchFrame(pair, &frame);
-  EXPECT_FALSE(wire::DecodeMessages(FramePayloadOf(frame)).ok());
 }
 
 TEST(WireTest, MailRowsUnequalPerRowArraysRejected) {
@@ -291,149 +282,6 @@ TEST(WireTest, RandomGarbageNeverCrashes) {
     for (auto& b : garbage) b = static_cast<uint8_t>(rng.Next());
     (void)wire::DecodeMessage(garbage);  // must return, cleanly, every time
   }
-}
-
-// ---- Coalesced (batch) frames ----------------------------------------------
-
-// Strips the length prefix off a frame, validating it against the actual
-// payload size the way a socket reader does.
-std::span<const uint8_t> FramePayload(const std::vector<uint8_t>& frame) {
-  EXPECT_GE(frame.size(), wire::kFrameHeaderBytes);
-  Result<uint32_t> length = wire::DecodeFrameLength(
-      std::span<const uint8_t, wire::kFrameHeaderBytes>(
-          frame.data(), wire::kFrameHeaderBytes));
-  EXPECT_TRUE(length.ok()) << length.status();
-  EXPECT_EQ(frame.size() - wire::kFrameHeaderBytes, *length);
-  return std::span<const uint8_t>(frame.data() + wire::kFrameHeaderBytes,
-                                  frame.size() - wire::kFrameHeaderBytes);
-}
-
-TEST(WireTest, BatchFrameRoundTripsMixedKinds) {
-  const std::vector<ShardMessage> messages = Exemplars();
-  std::vector<uint8_t> frame;
-  wire::AppendBatchFrame(messages, &frame);
-  Result<std::vector<ShardMessage>> decoded =
-      wire::DecodeMessages(FramePayload(frame));
-  ASSERT_TRUE(decoded.ok()) << decoded.status();
-  ASSERT_EQ(decoded->size(), messages.size());
-  for (size_t i = 0; i < messages.size(); ++i) {
-    EXPECT_TRUE(Equal(messages[i], (*decoded)[i])) << "element " << i;
-  }
-}
-
-TEST(WireTest, SingleElementBatchIsByteIdenticalToPlainFrame) {
-  // The degenerate batch must not pay the envelope: a lone message goes
-  // out exactly as AppendFrame would send it, and old readers keep
-  // decoding it.
-  for (const ShardMessage& message : Exemplars()) {
-    std::vector<uint8_t> plain;
-    wire::AppendFrame(message, &plain);
-    std::vector<uint8_t> batched;
-    wire::AppendBatchFrame(std::span<const ShardMessage>(&message, 1),
-                           &batched);
-    EXPECT_EQ(plain, batched);
-  }
-}
-
-TEST(WireTest, DecodeMessagesAcceptsSingleMessagePayload) {
-  // The reader cannot know in advance whether a peer coalesced, so the
-  // batch decoder must pass single-message payloads through unchanged.
-  for (const ShardMessage& message : Exemplars()) {
-    const std::vector<uint8_t> payload = wire::EncodeMessage(message);
-    Result<std::vector<ShardMessage>> decoded = wire::DecodeMessages(payload);
-    ASSERT_TRUE(decoded.ok()) << decoded.status();
-    ASSERT_EQ(decoded->size(), 1u);
-    EXPECT_TRUE(Equal(message, (*decoded)[0]));
-  }
-}
-
-TEST(WireTest, BatchEveryTruncationFailsCleanly) {
-  const std::vector<ShardMessage> messages = Exemplars();
-  std::vector<uint8_t> frame;
-  wire::AppendBatchFrame(messages, &frame);
-  const std::span<const uint8_t> payload = FramePayload(frame);
-  for (size_t cut = 0; cut < payload.size(); ++cut) {
-    Result<std::vector<ShardMessage>> decoded =
-        wire::DecodeMessages(payload.subspan(0, cut));
-    EXPECT_FALSE(decoded.ok())
-        << "prefix of " << cut << "/" << payload.size()
-        << " bytes decoded as a full batch";
-  }
-}
-
-TEST(WireTest, BatchTrailingBytesRejected) {
-  std::vector<uint8_t> frame;
-  wire::AppendBatchFrame(Exemplars(), &frame);
-  frame.push_back(0);
-  const std::span<const uint8_t> payload(
-      frame.data() + wire::kFrameHeaderBytes,
-      frame.size() - wire::kFrameHeaderBytes);
-  EXPECT_FALSE(wire::DecodeMessages(payload).ok());
-}
-
-TEST(WireTest, EmptyBatchRejected) {
-  // kind 4, count 0: a frame that carries nothing is a protocol error,
-  // not a no-op — SendBatch never emits one.
-  const std::vector<uint8_t> payload = {4, 0, 0, 0, 0, 0, 0, 0, 0};
-  EXPECT_FALSE(wire::DecodeMessages(payload).ok());
-}
-
-TEST(WireTest, NestedBatchRejected) {
-  // A batch whose single element is itself a batch envelope. The inner
-  // payload is length-consistent on purpose: only the no-nesting rule can
-  // reject it.
-  std::vector<uint8_t> inner = {4, 1, 0, 0, 0, 0, 0, 0, 0};
-  std::vector<uint8_t> payload = {4, 1, 0, 0, 0, 0, 0, 0, 0};
-  const uint32_t inner_len = static_cast<uint32_t>(inner.size());
-  for (int shift = 0; shift < 32; shift += 8) {
-    payload.push_back(static_cast<uint8_t>(inner_len >> shift));
-  }
-  payload.insert(payload.end(), inner.begin(), inner.end());
-  EXPECT_FALSE(wire::DecodeMessages(payload).ok());
-}
-
-TEST(WireTest, BatchCorruptCountRejectedBeforeAllocation) {
-  std::vector<uint8_t> frame;
-  wire::AppendBatchFrame(Exemplars(), &frame);
-  std::vector<uint8_t> payload(frame.begin() + wire::kFrameHeaderBytes,
-                               frame.end());
-  // Layout: kind(1) + count(8). Claim 2^64−1 elements.
-  for (size_t i = 1; i < 9; ++i) payload[i] = 0xFF;
-  EXPECT_FALSE(wire::DecodeMessages(payload).ok());
-}
-
-TEST(WireTest, BatchMutationFuzz) {
-  Rng rng(0xC0A1E5CE);
-  const std::vector<ShardMessage> exemplars = Exemplars();
-  int rejected = 0;
-  for (int iter = 0; iter < 1000; ++iter) {
-    // Batch a random non-empty subset (with repeats) of the exemplars.
-    const size_t count = 1 + static_cast<size_t>(rng.UniformInt(uint64_t{4}));
-    std::vector<ShardMessage> batch;
-    for (size_t i = 0; i < count; ++i) {
-      batch.push_back(exemplars[static_cast<size_t>(
-          rng.UniformInt(uint64_t{exemplars.size()}))]);
-    }
-    std::vector<uint8_t> frame;
-    wire::AppendBatchFrame(batch, &frame);
-    std::vector<uint8_t> payload(frame.begin() + wire::kFrameHeaderBytes,
-                                 frame.end());
-    const int flips = static_cast<int>(rng.UniformInt(uint64_t{5}));
-    for (int f = 0; f < flips && !payload.empty(); ++f) {
-      const size_t at =
-          static_cast<size_t>(rng.UniformInt(uint64_t{payload.size()}));
-      payload[at] = static_cast<uint8_t>(rng.Next());
-    }
-    if (rng.Bernoulli(0.3) && !payload.empty()) {
-      payload.resize(
-          static_cast<size_t>(rng.UniformInt(uint64_t{payload.size()})));
-    } else if (rng.Bernoulli(0.2)) {
-      payload.push_back(static_cast<uint8_t>(rng.Next()));
-    }
-    Result<std::vector<ShardMessage>> decoded = wire::DecodeMessages(payload);
-    rejected += decoded.ok() ? 0 : 1;
-  }
-  EXPECT_GT(rejected, 500);
 }
 
 }  // namespace

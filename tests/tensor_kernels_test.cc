@@ -16,6 +16,7 @@
 #include <cmath>
 #include <cstdint>
 #include <cstring>
+#include <limits>
 #include <vector>
 
 #include "core/encoder.h"
@@ -160,6 +161,119 @@ TEST(KernelParityTest, MaskedSoftmaxMatchesScalarAndRespectsMask) {
       for (int64_t s = 6; s < m; ++s) {
         EXPECT_LT(dispatched[static_cast<size_t>((bi * h + hi) * m + s)],
                   1e-12f);
+      }
+    }
+  }
+}
+
+TEST(KernelParityTest, ExpMatchesScalarBitwiseAndReference) {
+  // The softmax domain (x <= 0): exactly 1 at 0, exactly 0 from
+  // ln(FLT_MIN) down (std::exp goes denormal there) through kMaskedOut
+  // and -inf, and within the reference tolerance everywhere.
+  Rng rng(21);
+  std::vector<float> x = {0.0f,   -0.0f,  -1e-7f,    -0.5f,  -1.0f,
+                          -10.0f, -50.0f, -87.0f,    -87.3f, -87.34f,
+                          -88.0f, -100.f, -1e9f,     nn::MultiHeadAttention::kMaskedOut,
+                          -std::numeric_limits<float>::infinity()};
+  for (int i = 0; i < 203; ++i) {  // odd length: a partial last block
+    x.push_back(-std::abs(static_cast<float>(rng.Normal())) * 20.0f);
+  }
+  std::vector<float> dispatched(x.size()), scalar(x.size()),
+      reference(x.size());
+  const auto n = static_cast<int64_t>(x.size());
+  kernels::Exp(x.data(), dispatched.data(), n);
+  kernels::scalar::Exp(x.data(), scalar.data(), n);
+  kernels::reference::Exp(x.data(), reference.data(), n);
+  ExpectBitwise(dispatched, scalar, "Exp vs scalar");
+  ExpectCloseToReference(dispatched, reference, "Exp vs reference");
+  EXPECT_EQ(dispatched[0], 1.0f);
+  EXPECT_EQ(dispatched[1], 1.0f);
+  for (size_t i = 0; i < x.size(); ++i) {
+    if (x[i] < -87.3366f) {
+      EXPECT_EQ(dispatched[i], 0.0f) << "x = " << x[i];
+    } else if (reference[i] >= std::numeric_limits<float>::min()) {
+      // Normal results stay within a few ULP of std::exp.
+      EXPECT_LE(UlpDiff(dispatched[i], reference[i]), 2) << "x = " << x[i];
+    }
+  }
+  // In place, and independent of the element's position in the block.
+  std::vector<float> in_place(x.begin() + 3, x.end());
+  kernels::Exp(in_place.data(), in_place.data(),
+               static_cast<int64_t>(in_place.size()));
+  ExpectBitwise(in_place,
+                std::vector<float>(dispatched.begin() + 3, dispatched.end()),
+                "Exp in place, shifted");
+}
+
+TEST(KernelParityTest, MaskedSoftmaxExpEdgeCasesAcrossShapes) {
+  // Per row of {b = 5, h, m}: 0 = no mask, 1 = masked tail, 2 = all
+  // masked, 3 = scores of 0 and large negatives, 4 = a masked head.
+  for (const int64_t m : {1, 7, 10, 17}) {
+    for (const int64_t h : {1, 2, 4}) {
+      SCOPED_TRACE(testing::Message() << "m=" << m << " h=" << h);
+      Rng rng(static_cast<uint64_t>(100 * m + h));
+      const int64_t b = 5;
+      std::vector<float> scores =
+          RandomVec(static_cast<size_t>(b * h * m), &rng, 3.0f);
+      std::vector<float> mask(static_cast<size_t>(b * m), 0.0f);
+      const auto at = [m](int64_t bi, int64_t s) {
+        return static_cast<size_t>(bi * m + s);
+      };
+      for (int64_t s = 0; s < m; ++s) {
+        if (s > 0 && s >= m / 2) {
+          mask[at(1, s)] = nn::MultiHeadAttention::kMaskedOut;
+        }
+        mask[at(2, s)] = nn::MultiHeadAttention::kMaskedOut;
+        if (s < m - 1 && s < 2) {
+          mask[at(4, s)] = nn::MultiHeadAttention::kMaskedOut;
+        }
+      }
+      for (int64_t hi = 0; hi < h; ++hi) {
+        for (int64_t s = 0; s < m; ++s) {
+          scores[static_cast<size_t>((3 * h + hi) * m + s)] =
+              s % 3 == 0 ? 0.0f : -60.0f * static_cast<float>(s);
+        }
+      }
+      for (const bool masked : {true, false}) {
+        const float* mp = masked ? mask.data() : nullptr;
+        std::vector<float> dispatched(scores.size()), scalar(scores.size()),
+            reference(scores.size());
+        kernels::MaskedSoftmax(scores.data(), mp, dispatched.data(), b, h, m);
+        kernels::scalar::MaskedSoftmax(scores.data(), mp, scalar.data(), b,
+                                       h, m);
+        ExpectBitwise(dispatched, scalar, "MaskedSoftmax vs scalar");
+        // The reference softmax over the same additive scores.
+        std::vector<float> added(scores);
+        for (int64_t bi = 0; bi < b && masked; ++bi) {
+          for (int64_t hi = 0; hi < h; ++hi) {
+            for (int64_t s = 0; s < m; ++s) {
+              added[static_cast<size_t>((bi * h + hi) * m + s)] +=
+                  mask[at(bi, s)];
+            }
+          }
+        }
+        kernels::reference::SoftmaxLastDim(added.data(), reference.data(),
+                                           b * h, m);
+        ExpectCloseToReference(dispatched, reference,
+                               "MaskedSoftmax vs reference");
+        std::vector<float> in_place(scores);
+        kernels::MaskedSoftmax(in_place.data(), mp, in_place.data(), b, h,
+                               m);
+        ExpectBitwise(in_place, dispatched, "MaskedSoftmax in place");
+        if (!masked) continue;
+        for (int64_t bi = 0; bi < b; ++bi) {
+          for (int64_t hi = 0; hi < h; ++hi) {
+            const float* row = dispatched.data() + (bi * h + hi) * m;
+            for (int64_t s = 0; s < m; ++s) {
+              if (bi == 2) {
+                // All masked: the shift cancels the mask, so uniform.
+                EXPECT_NEAR(row[s], 1.0f / static_cast<float>(m), 1e-6f);
+              } else if (mask[at(bi, s)] != 0.0f) {
+                EXPECT_EQ(row[s], 0.0f) << "row " << bi << " slot " << s;
+              }
+            }
+          }
+        }
       }
     }
   }

@@ -40,12 +40,13 @@
 //   5. within each (transport, partition) group, every multi-shard row
 //      keeps events_per_sec >= --min-scale x the 1-shard row of the same
 //      transport. The default floor (0.25) is deliberately a collapse
-//      detector, not a speedup gate: shard workers are threads, so on a
-//      single-core host the best possible curve is FLAT (parity with one
-//      shard, and the 8-shard uds row pays 8x the per-frame syscall tax
-//      with zero hardware to hide it behind) — positive scaling is
-//      physically unavailable there. CI boxes with real parallelism can
-//      tighten the floor via the flag.
+//      detector, not a speedup gate: shard workers are threads sharing
+//      the host's cores, and on the recorded 4-vCPU host the caller's
+//      synchronous link bounds every multi-shard row, so the measured
+//      curve is roughly FLAT (and the 8-shard row runs 8 workers plus
+//      the encode pool on 4 vCPUs, the uds one paying 8x the per-frame
+//      syscall tax). Hosts with more cores can tighten the floor via
+//      the flag.
 //   6. at every (shards > 1, transport), the locality partition's
 //      cross_shard_pct must not exceed the hash partition's — the one
 //      scaling property that holds on any hardware, since it counts mail
